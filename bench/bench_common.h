@@ -11,9 +11,9 @@
 #include "obs/critical_path.h"
 #include "obs/json_writer.h"
 #include "obs/timeseries.h"
-#include "workload/churn.h"
 #include "workload/experiment.h"
 #include "workload/topology.h"
+#include "workload/world.h"
 
 namespace bestpeer::bench {
 
@@ -113,14 +113,14 @@ class BenchReport {
     rows_.emplace_back(std::move(label), values);
   }
 
-  /// Folds one experiment into the report's aggregate snapshot.
-  void Absorb(const workload::ExperimentResult& result) {
-    wire_bytes_ += result.wire_bytes;
-    metrics_.Merge(result.metrics);
+  /// Folds one run's wire bytes and metric snapshot into the report.
+  void Absorb(const workload::RunArtifacts& run) {
+    wire_bytes_ += run.wire_bytes;
+    metrics_.Merge(run.metrics);
   }
 
-  /// Folds a raw registry snapshot in (for benches that drive a workload
-  /// directly instead of going through RunExperiment).
+  /// Folds a raw registry snapshot in (for benches that drive the
+  /// network directly instead of through a workload driver).
   void Absorb(const metrics::Snapshot& snapshot) {
     metrics_.Merge(snapshot);
   }
@@ -133,26 +133,19 @@ class BenchReport {
   }
 
   /// Attaches the run's `timeseries` and (when tracing was on) a
-  /// `critical_path` section computed from its spans. Works for any
-  /// result type carrying `timeseries`/`trace`/`flight` members
-  /// (experiment, churn, scenario runs). Later attachments replace
-  /// earlier ones: benches typically attach their headline
+  /// `critical_path` section computed from its spans. Later attachments
+  /// replace earlier ones: benches typically attach their headline
   /// configuration's run.
-  template <typename ResultT>
-  void AttachObservability(const ResultT& result) {
-    if (!result.timeseries.empty()) {
-      timeseries_json_ = result.timeseries.ToJson(2);
+  void AttachObservability(const workload::RunArtifacts& run) {
+    if (!run.timeseries.empty()) {
+      timeseries_json_ = run.timeseries.ToJson(2);
     }
-    if (result.trace != nullptr) {
+    if (run.trace != nullptr) {
       obs::CriticalPathReport cp =
-          obs::AnalyzeCriticalPaths(*result.trace, result.flight.get());
+          obs::AnalyzeCriticalPaths(*run.trace, run.flight.get());
       if (!cp.empty()) critical_path_json_ = cp.ToJson(2);
     }
   }
-
-  /// Folds wire bytes from a run that doesn't go through Absorb's
-  /// ExperimentResult overload (e.g. a scenario run).
-  void AddWireBytes(uint64_t bytes) { wire_bytes_ += bytes; }
 
   void Write() {
     if (written_) return;

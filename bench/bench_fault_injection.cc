@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "util/metrics.h"
 #include "workload/churn.h"
 
 using namespace bestpeer;
@@ -62,21 +61,14 @@ ChurnOptions WithRecovery(ChurnOptions o) {
   return o;
 }
 
-struct RunOutcome {
-  ChurnResult churn;
-  metrics::Snapshot metrics;
-};
-
-RunOutcome Run(ChurnOptions options) {
-  metrics::Registry registry;
-  options.metrics = &registry;
+ChurnResult Run(ChurnOptions options) {
   // Post-hoc analysis: spans feed the critical-path breakdown, the
   // sampler feeds the timeseries section, and the flight recorder
   // captures drops/retries/reconfigs (auto-dumping when recall collapses
   // and BP_FLIGHT_OUT is set).
-  options.trace = true;
-  options.sample_interval = Millis(10);
-  options.flight_capacity = 8192;
+  options.obs = {.trace = true,
+                 .sample_interval = Millis(10),
+                 .flight_capacity = 8192};
   options.recall_anomaly_threshold = 0.5;
   auto result = RunChurnExperiment(options);
   if (!result.ok()) {
@@ -84,7 +76,7 @@ RunOutcome Run(ChurnOptions options) {
                  result.status().ToString().c_str());
     std::abort();
   }
-  return {std::move(result).value(), registry.TakeSnapshot()};
+  return std::move(result).value();
 }
 
 double MeanCompletionMs(const ChurnResult& result) {
@@ -114,26 +106,23 @@ int main() {
   for (double loss : losses) {
     ChurnOptions norec = BaseOptions();
     norec.fault.message_loss = loss;
-    RunOutcome plain = Run(norec);
+    ChurnResult plain = Run(norec);
 
     ChurnOptions rec = WithRecovery(BaseOptions());
     rec.fault.message_loss = loss;
-    RunOutcome recovered = Run(rec);
-    report.Absorb(recovered.metrics);
-    report.AttachObservability(recovered.churn);
+    ChurnResult recovered = Run(rec);
+    report.Absorb(recovered);
+    report.AttachObservability(recovered);
 
     char label[16];
     std::snprintf(label, sizeof(label), "%.2f", loss);
-    std::vector<double> row = {
-        plain.churn.MeanRecall(),     plain.churn.MinRecall(),
-        recovered.churn.MeanRecall(), recovered.churn.MinRecall(),
-        MeanCompletionMs(recovered.churn)};
+    std::vector<double> row = {plain.MeanRecall(), plain.MinRecall(),
+                               recovered.MeanRecall(), recovered.MinRecall(),
+                               MeanCompletionMs(recovered)};
     PrintRow(label, row, "%12.3f");
-    report.AddRow(label, {loss, plain.churn.MeanRecall(),
-                          plain.churn.MinRecall(),
-                          recovered.churn.MeanRecall(),
-                          recovered.churn.MinRecall(),
-                          MeanCompletionMs(recovered.churn)});
+    report.AddRow(label, {loss, plain.MeanRecall(), plain.MinRecall(),
+                          recovered.MeanRecall(), recovered.MinRecall(),
+                          MeanCompletionMs(recovered)});
 
     std::printf(
         "    drops %.0f, liglo retries %.0f, late replies %.0f, "

@@ -30,9 +30,9 @@ int main() {
       // Post-hoc analysis: spans + flight events feed the critical-path
       // breakdown, the sampler feeds the timeseries section. The last
       // configuration (BPR on the deepest line) is the one attached.
-      options.trace = true;
-      options.sample_interval = Millis(1);
-      options.flight_capacity = 8192;
+      options.obs = {.trace = true,
+                     .sample_interval = Millis(1),
+                     .flight_capacity = 8192};
       auto result = report.Run(options);
       report.AttachObservability(result);
       row.push_back(result.MeanCompletionMs());

@@ -136,8 +136,7 @@ int main(int argc, char** argv) {
               total_queries, result.suppressed_arrivals,
               static_cast<unsigned long long>(result.wire_bytes));
 
-  report.Absorb(result.metrics);
-  report.AddWireBytes(result.wire_bytes);
+  report.Absorb(result);
   report.AttachObservability(result);
   return report.Close();
 }

@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "core/node.h"
 #include "core/search_agent.h"
-#include "net/sim_transport.h"
 #include "scenario/arrival.h"
-#include "sim/network.h"
-#include "sim/simulator.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 #include "workload/topology.h"
+#include "workload/world.h"
 
 namespace bestpeer::scenario {
 
@@ -40,31 +36,6 @@ workload::Topology BuildTopology(const ScenarioSpec& spec) {
     return workload::MakeRandom(n, t.max_degree, rng);
   }
   return workload::MakeTree(n, t.fanout);
-}
-
-bool TraceRequested(const ScenarioRunOptions& options) {
-  return options.trace || std::getenv("BP_TRACE_OUT") != nullptr;
-}
-
-SimTime SampleInterval(const ScenarioRunOptions& options) {
-  if (const char* env = std::getenv("BP_SAMPLE_INTERVAL_US")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<SimTime>(v);
-  }
-  return options.sample_interval;
-}
-
-void MaybeEnableFlight(sim::Simulator* simulator,
-                       const ScenarioRunOptions& options) {
-  size_t capacity = options.flight_capacity;
-  if (capacity == 0 && std::getenv("BP_FLIGHT_OUT") != nullptr) {
-    capacity = obs::FlightRecorderOptions{}.capacity;
-  }
-  if (capacity == 0) return;
-  obs::FlightRecorderOptions fo;
-  fo.capacity = capacity;
-  if (const char* out = std::getenv("BP_FLIGHT_OUT")) fo.auto_dump_path = out;
-  simulator->EnableFlightRecorder(fo);
 }
 
 /// One internal arrival: when, who, what, which phase.
@@ -101,30 +72,9 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
 
   const size_t node_count = spec.TotalNodes();
 
-  // Declared first so instruments outlive every component holding handles.
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  std::unique_ptr<obs::TimeSeriesSampler> sampler;
-  std::unique_ptr<obs::SamplerDriver> sampler_driver;
-  if (const SimTime interval = SampleInterval(options); interval > 0) {
-    sampler = std::make_unique<obs::TimeSeriesSampler>(&registry, interval);
-    sampler->AddDefaultColumns();
-    sampler_driver =
-        std::make_unique<obs::SamplerDriver>(&simulator, sampler.get());
-  }
-  auto arm_sampler = [&sampler_driver]() {
-    if (sampler_driver != nullptr) sampler_driver->Arm();
-  };
-  // Must precede SimNetwork construction so the network binds the
-  // injector (no-op at zero loss — bit-identical schedules).
-  spec.fault.EnableOn(&simulator, spec.seed, &registry);
-  sim::NetworkOptions net_options;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
-  core::SharedInfra infra;
+  workload::World world(options.obs, spec.fault, spec.seed);
+  sim::Simulator& simulator = world.simulator();
+  sim::SimNetwork& network = world.network();
 
   const workload::Topology topo = BuildTopology(spec);
 
@@ -151,16 +101,12 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   config.max_direct_peers = spec.max_direct_peers;
   config.strategy = spec.reconfigure_each_phase ? "maxcount" : "none";
   config.default_ttl = spec.ttl;
-  config.metrics = &registry;
+  config.metrics = &world.registry();
   spec.fault.ApplyTo(&config);
 
   // Pooled keywords: every matching object answers every pooled query.
-  std::vector<std::string> tokens;
-  tokens.reserve(spec.query_pool);
-  for (size_t i = 0; i < spec.query_pool; ++i) {
-    tokens.push_back(std::string(workload::CorpusGenerator::kNeedle) +
-                     std::to_string(i));
-  }
+  const std::vector<std::string> tokens =
+      workload::CorpusGenerator::PoolTokens(spec.query_pool);
 
   workload::CorpusGenerator corpus({spec.object_size, 500, 0.8}, spec.seed);
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;
@@ -168,7 +114,8 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   for (size_t i = 0; i < node_count; ++i) {
     const NodeClassSpec& cls = spec.classes[spec.ClassOf(i)];
     BP_ASSIGN_OR_RETURN(auto node, core::BestPeerNode::Create(
-                                       fleet.For(ids[i]), &infra, config));
+                                       world.fleet().For(ids[i]),
+                                       &world.infra(), config));
     storm::StormOptions store;
     store.buffer_frames = 128;
     store.replacement = "lru";
@@ -179,12 +126,8 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
         cls.matches_per_node,
         static_cast<size_t>(std::llround(
             static_cast<double>(cls.objects_per_node) * options.store_scale)));
-    for (size_t o = 0; o < objects; ++o) {
-      const bool match = o < cls.matches_per_node;
-      BP_RETURN_IF_ERROR(node->ShareObject(
-          (static_cast<storm::ObjectId>(i) << 24) | o,
-          corpus.MakeObject(match, tokens)));
-    }
+    BP_RETURN_IF_ERROR(workload::ShareCorpus(
+        *node, i, objects, cls.matches_per_node, corpus, tokens));
     nodes.push_back(std::move(node));
   }
   for (const auto& [a, b] : topo.edges) {
@@ -194,8 +137,8 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   // The StorM search agent ships with the platform; steady state has it
   // resident everywhere.
   for (NodeId id : ids) {
-    infra.code_cache.Load(id, core::kSearchAgentClass);
-    infra.code_cache.Load(id, core::kComputeAgentClass);
+    world.infra().code_cache.Load(id, core::kSearchAgentClass);
+    world.infra().code_cache.Load(id, core::kComputeAgentClass);
   }
 
   // Churn waves are pre-scheduled as simulator events so they fire at
@@ -325,7 +268,7 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
       }
       BP_ASSIGN_OR_RETURN(uint64_t query_id,
                           nodes[a.node]->IssueSearch(a.keyword));
-      arm_sampler();
+      world.Arm();
       last_query[a.node] = query_id;
       queried[a.node] = true;
       issued_ids.emplace_back(query_id, result.queries.size());
@@ -351,7 +294,7 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
   }
   // Drain: in-flight queries finish, pending rejoins fire (no queries
   // remain, so late rejoins change nothing observable).
-  arm_sampler();
+  world.Arm();
   simulator.RunUntilIdle();
 
   for (const auto& [query_id, index] : issued_ids) {
@@ -365,6 +308,8 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
     stats.unique_answers = session->unique_answers();
     stats.responders = session->responder_count();
     stats.completion = session->completion_time();
+    world.RecordQuery(ids[stats.issuer], query_id, session->start_time(),
+                      session->completion_time());
   }
 
   result.phases.resize(spec.phases.size());
@@ -387,27 +332,7 @@ Result<ScenarioResult> RunScenario(const ScenarioSpec& spec,
     phase.mean_completion_ms /= n;
   }
 
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  if (sampler != nullptr) result.timeseries = sampler->Take();
-  if (result.trace != nullptr) {
-    if (const char* out = std::getenv("BP_TRACE_OUT")) {
-      Status s = result.trace->WriteChromeJson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_TRACE_OUT write failed: " << s.ToString();
-      }
-    }
-  }
-  if (result.flight != nullptr) {
-    if (const char* out = std::getenv("BP_FLIGHT_OUT")) {
-      Status s = result.flight->WriteNdjson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_FLIGHT_OUT write failed: " << s.ToString();
-      }
-    }
-  }
+  world.Finish(&result);
   return result;
 }
 

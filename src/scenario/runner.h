@@ -2,18 +2,14 @@
 #define BESTPEER_SCENARIO_RUNNER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/flight_recorder.h"
-#include "obs/timeseries.h"
 #include "scenario/query_trace.h"
 #include "scenario/spec.h"
-#include "util/metrics.h"
 #include "util/result.h"
 #include "util/sim_time.h"
-#include "util/trace.h"
+#include "workload/world.h"
 
 namespace bestpeer::scenario {
 
@@ -21,12 +17,8 @@ struct ScenarioRunOptions {
   /// Scales every class's objects_per_node (fast mode runs 0.25); the
   /// match counts stay untouched so answer totals are scale-invariant.
   double store_scale = 1.0;
-  /// Record per-query trace spans (also forced by BP_TRACE_OUT).
-  bool trace = false;
-  /// Sim-time sampling cadence (0 = off; BP_SAMPLE_INTERVAL_US overrides).
-  SimTime sample_interval = 0;
-  /// Flight-recorder ring capacity (0 = off; BP_FLIGHT_OUT enables).
-  size_t flight_capacity = 0;
+  /// Trace, timeseries and flight planes (see workload::ObsOptions).
+  workload::ObsOptions obs;
   /// Replay this recorded schedule instead of generating arrivals (must
   /// have been recorded against the same spec name + seed). The churn
   /// and fault streams are untouched by replay, so the sim schedule —
@@ -55,19 +47,14 @@ struct ScenarioPhaseStats {
   double mean_completion_ms = 0;
 };
 
-struct ScenarioResult {
+struct ScenarioResult : workload::RunArtifacts {
   std::vector<ScenarioQueryStats> queries;
   std::vector<ScenarioPhaseStats> phases;
-  uint64_t wire_bytes = 0;
   /// Arrivals skipped because the picked issuer was offline (record mode
   /// only; a replayed schedule contains only queries that were issued).
   size_t suppressed_arrivals = 0;
   /// The replayable schedule of exactly the queries this run issued.
   QueryTrace issued;
-  metrics::Snapshot metrics;
-  std::shared_ptr<trace::TraceRecorder> trace;
-  obs::TimeSeries timeseries;
-  std::shared_ptr<obs::FlightRecorder> flight;
 };
 
 /// Builds the heterogeneous fleet the spec describes and drives the

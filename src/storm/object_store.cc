@@ -27,7 +27,11 @@ Bytes MakeRecord(ObjectId id, uint16_t chunk, uint16_t nchunks,
   std::memcpy(rec.data(), &id, 8);
   std::memcpy(rec.data() + 8, &chunk, 2);
   std::memcpy(rec.data() + 10, &nchunks, 2);
-  std::memcpy(rec.data() + ObjectStore::kRecordHeaderSize, data, len);
+  // An empty object may come with a null `data`, and memcpy from null
+  // is undefined even for zero bytes.
+  if (len > 0) {
+    std::memcpy(rec.data() + ObjectStore::kRecordHeaderSize, data, len);
+  }
   return rec;
 }
 

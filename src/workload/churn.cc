@@ -1,9 +1,6 @@
 #include "workload/churn.h"
 
-#include "net/sim_transport.h"
-
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -11,51 +8,10 @@
 #include "core/node.h"
 #include "core/search_agent.h"
 #include "liglo/liglo_server.h"
-#include "sim/fault.h"
-#include "sim/simulator.h"
-#include "util/logging.h"
 #include "util/rng.h"
 #include "workload/corpus.h"
 
 namespace bestpeer::workload {
-
-namespace {
-
-// Mirrors the env overrides RunExperiment honours so the fault benches
-// can drive both experiment kinds with one set of variables.
-SimTime ChurnSampleInterval(const ChurnOptions& options) {
-  if (const char* env = std::getenv("BP_SAMPLE_INTERVAL_US")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<SimTime>(v);
-  }
-  return options.sample_interval;
-}
-
-size_t ChurnFlightCapacity(const ChurnOptions& options) {
-  if (options.flight_capacity > 0) return options.flight_capacity;
-  if (std::getenv("BP_FLIGHT_OUT") != nullptr) {
-    return obs::FlightRecorderOptions{}.capacity;
-  }
-  return 0;
-}
-
-/// One span covering a whole churn query, from issue to last answer.
-void RecordChurnQuerySpan(sim::Simulator& simulator, uint32_t base_node,
-                          uint64_t query_id, SimTime start,
-                          SimTime duration) {
-  trace::TraceRecorder* recorder = simulator.trace();
-  if (recorder == nullptr) return;
-  trace::Span span;
-  span.name = "query";
-  span.cat = "query";
-  span.tid = base_node;
-  span.ts = start;
-  span.dur = duration;
-  span.flow = query_id;
-  recorder->RecordSpan(std::move(span));
-}
-
-}  // namespace
 
 double ChurnResult::MeanRecall() const {
   if (rounds.empty()) return 1.0;
@@ -75,37 +31,13 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
     return Status::InvalidArgument("need at least a base and one peer");
   }
   Rng rng(options.seed);
-  sim::Simulator simulator;
-  if (options.trace || std::getenv("BP_TRACE_OUT") != nullptr) {
-    simulator.EnableTracing();
-  }
-  if (const size_t capacity = ChurnFlightCapacity(options)) {
-    obs::FlightRecorderOptions fo;
-    fo.capacity = capacity;
-    if (const char* out = std::getenv("BP_FLIGHT_OUT")) {
-      fo.auto_dump_path = out;
-    }
-    simulator.EnableFlightRecorder(fo);
-  }
-  std::unique_ptr<obs::TimeSeriesSampler> sampler;
-  std::unique_ptr<obs::SamplerDriver> sampler_driver;
-  const SimTime sample_interval = ChurnSampleInterval(options);
-  if (sample_interval > 0 && options.metrics != nullptr) {
-    sampler = std::make_unique<obs::TimeSeriesSampler>(options.metrics,
-                                                       sample_interval);
-    sampler->AddDefaultColumns();
-    sampler_driver =
-        std::make_unique<obs::SamplerDriver>(&simulator, sampler.get());
-  }
-  options.fault.EnableOn(&simulator, options.seed, options.metrics);
-  sim::NetworkOptions net_options;
-  net_options.metrics = options.metrics;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
-  core::SharedInfra infra;
+  World world(options.obs, options.fault, options.seed);
+  sim::Simulator& simulator = world.simulator();
+  sim::SimNetwork& network = world.network();
+  core::SharedInfra& infra = world.infra();
 
   // LIGLO server on its own machine.
-  net::Transport* server_transport = fleet.AddNode();
+  net::Transport* server_transport = world.fleet().AddNode();
   NodeId server_id = server_transport->local();
   net::Dispatcher server_dispatcher(server_transport);
   liglo::LigloServerOptions server_options;
@@ -121,20 +53,21 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
   config.strategy = options.reconfigure ? "maxcount" : "none";
   config.default_ttl = static_cast<uint16_t>(options.ttl);
   options.fault.ApplyTo(&config);
-  config.metrics = options.metrics;
+  config.metrics = &world.registry();
 
   CorpusGenerator corpus({512, 300, 0.8}, options.seed);
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;
   std::vector<bool> online(options.node_count, true);
   for (size_t i = 0; i < options.node_count; ++i) {
     BP_ASSIGN_OR_RETURN(auto node, core::BestPeerNode::Create(
-                                       fleet.AddNode(), &infra, config));
+                                       world.fleet().AddNode(), &infra,
+                                       config));
     BP_RETURN_IF_ERROR(node->InitStorage({}));
-    for (size_t o = 0; o < options.objects_per_node; ++o) {
-      bool match = i != 0 && o < options.matches_per_node;
-      BP_RETURN_IF_ERROR(node->ShareObject(
-          (static_cast<uint64_t>(i) << 24) | o, corpus.MakeObject(match)));
-    }
+    // The base holds no matches: recall counts only what the overlay
+    // reaches.
+    BP_RETURN_IF_ERROR(ShareCorpus(*node, i, options.objects_per_node,
+                                   i == 0 ? 0 : options.matches_per_node,
+                                   corpus));
     infra.code_cache.Load(node->node(), core::kSearchAgentClass);
     nodes.push_back(std::move(node));
   }
@@ -147,10 +80,6 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
 
   core::BestPeerNode& base = *nodes[0];
   ChurnResult result;
-  // Re-armed before every run: the driver parks when the queue drains.
-  auto arm_sampler = [&sampler_driver]() {
-    if (sampler_driver != nullptr) sampler_driver->Arm();
-  };
   for (size_t round = 0; round < options.rounds; ++round) {
     // --- churn step (skipped before the first round) -------------------
     if (round > 0) {
@@ -183,7 +112,7 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
       // The LIGLO validity sweep notices silent departures, so the
       // rejoiners below get live peers from DiscoverPeers.
       liglo_server.StartSweep();
-      arm_sampler();
+      world.Arm();
       simulator.RunUntil(simulator.now() + Millis(300));
       liglo_server.StopSweep();
       simulator.RunUntilIdle();
@@ -195,7 +124,7 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
         liglo::IpAddress ip =
             infra.ip_directory.AssignFresh(nodes[comer]->node());
         nodes[comer]->RejoinNetwork(ip, nullptr);
-        arm_sampler();
+        world.Arm();
         simulator.RunUntilIdle();
       }
     }
@@ -210,15 +139,14 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
     }
     BP_ASSIGN_OR_RETURN(uint64_t query_id,
                         base.IssueSearch(CorpusGenerator::kNeedle));
-    arm_sampler();
+    world.Arm();
     simulator.RunUntilIdle();
     const core::QuerySession* session = base.FindSession(query_id);
     if (session == nullptr) return Status::Internal("session lost");
     metrics.received_answers = session->total_answers();
     metrics.completion = session->completion_time();
-    RecordChurnQuerySpan(simulator, static_cast<uint32_t>(base.node()),
-                         query_id, session->start_time(),
-                         session->completion_time());
+    world.RecordQuery(base.node(), query_id, session->start_time(),
+                      session->completion_time());
     if (options.recall_anomaly_threshold > 0 &&
         metrics.Recall() < options.recall_anomaly_threshold) {
       if (obs::FlightRecorder* flight = simulator.flight()) {
@@ -233,21 +161,11 @@ Result<ChurnResult> RunChurnExperiment(const ChurnOptions& options) {
 
     if (options.reconfigure) {
       BP_RETURN_IF_ERROR(base.Reconfigure(query_id));
-      arm_sampler();
+      world.Arm();
       simulator.RunUntilIdle();
     }
   }
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  if (sampler != nullptr) result.timeseries = sampler->Take();
-  if (result.flight != nullptr) {
-    if (const char* out = std::getenv("BP_FLIGHT_OUT")) {
-      Status s = result.flight->WriteNdjson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_FLIGHT_OUT write failed: " << s.ToString();
-      }
-    }
-  }
+  world.Finish(&result);
   return result;
 }
 

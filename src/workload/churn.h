@@ -2,16 +2,12 @@
 #define BESTPEER_WORKLOAD_CHURN_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "obs/flight_recorder.h"
-#include "obs/timeseries.h"
-#include "util/metrics.h"
 #include "util/result.h"
 #include "util/sim_time.h"
-#include "util/trace.h"
 #include "workload/fault_options.h"
+#include "workload/world.h"
 
 namespace bestpeer::workload {
 
@@ -37,28 +33,11 @@ struct ChurnOptions {
   uint16_t ttl = 32;
   uint64_t seed = 42;
 
-  // --- fault injection & recovery (defaults keep both off) --------------
-
   /// Shared fault-injection/recovery knob block (see fault_options.h).
   FaultRecoveryOptions fault;
 
-  /// Optional metrics sink: receives net.*, fault.*, liglo.* and core.*
-  /// counters from the run (not owned; must outlive the call).
-  metrics::Registry* metrics = nullptr;
-
-  // --- observability (defaults keep everything off) ---------------------
-
-  /// Record per-query trace spans (query launch, agent hops, scans,
-  /// answer return). Also forced on when BP_TRACE_OUT is set.
-  bool trace = false;
-
-  /// Sim-time sampling cadence for the result's `timeseries`; requires
-  /// `metrics` to be set. 0 = off; BP_SAMPLE_INTERVAL_US overrides.
-  SimTime sample_interval = 0;
-
-  /// Flight-recorder ring capacity in events (0 = off). BP_FLIGHT_OUT
-  /// also enables it and dumps the NDJSON there on return.
-  size_t flight_capacity = 0;
+  /// Trace, timeseries and flight planes (see ObsOptions).
+  ObsOptions obs;
 
   /// Trip a flight-recorder anomaly (auto-dumping when BP_FLIGHT_OUT is
   /// set) whenever a round's recall drops below this. 0 = never.
@@ -82,14 +61,8 @@ struct ChurnRound {
   }
 };
 
-struct ChurnResult {
+struct ChurnResult : RunArtifacts {
   std::vector<ChurnRound> rounds;
-  /// Per-query trace spans, present iff tracing was on.
-  std::shared_ptr<trace::TraceRecorder> trace;
-  /// Periodic Registry samples, non-empty iff sampling was on.
-  obs::TimeSeries timeseries;
-  /// Flight-recorder ring, present iff flight recording was on.
-  std::shared_ptr<obs::FlightRecorder> flight;
 
   double MeanRecall() const;
   double MinRecall() const;

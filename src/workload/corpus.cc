@@ -47,6 +47,15 @@ Bytes CorpusGenerator::MakeObject(bool match,
   return ToBytes(text);
 }
 
+std::vector<std::string> CorpusGenerator::PoolTokens(size_t count) {
+  std::vector<std::string> tokens;
+  tokens.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    tokens.push_back(std::string(kNeedle) + std::to_string(i));
+  }
+  return tokens;
+}
+
 std::string CorpusGenerator::MakeFileName(bool match, size_t serial) {
   std::string name;
   if (match) {

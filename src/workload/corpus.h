@@ -39,6 +39,10 @@ class CorpusGenerator {
   /// same words as MakeObject(false).
   Bytes MakeObject(bool match, const std::vector<std::string>& tokens);
 
+  /// The pooled keywords "needle0".."needle<count-1>" of a Zipf-repeat
+  /// workload, for MakeObject(match, tokens).
+  static std::vector<std::string> PoolTokens(size_t count);
+
   /// Generates a shareable text-file name ("w42-w17-doc3.txt"); matching
   /// names contain kNeedle.
   std::string MakeFileName(bool match, size_t serial);

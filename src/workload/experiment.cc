@@ -1,9 +1,6 @@
 #include "workload/experiment.h"
 
-#include "net/sim_transport.h"
-
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <numeric>
 
@@ -11,9 +8,6 @@
 #include "baseline/gnutella.h"
 #include "core/node.h"
 #include "core/search_agent.h"
-#include "sim/fault.h"
-#include "sim/simulator.h"
-#include "util/logging.h"
 
 namespace bestpeer::workload {
 
@@ -76,43 +70,6 @@ std::vector<size_t> FarHotPlacement(const Topology& topology,
 
 namespace {
 
-storm::ObjectId GlobalObjectId(size_t node, size_t i) {
-  return (static_cast<storm::ObjectId>(node) << 24) | i;
-}
-
-/// The pooled query keywords of the Zipf-repeat mode ("needle0"...).
-std::vector<std::string> PoolTokens(const ExperimentOptions& options) {
-  std::vector<std::string> tokens;
-  tokens.reserve(options.query_pool);
-  for (size_t i = 0; i < options.query_pool; ++i) {
-    tokens.push_back(std::string(CorpusGenerator::kNeedle) +
-                     std::to_string(i));
-  }
-  return tokens;
-}
-
-/// Populates one storm store with the experiment corpus.
-Status PopulateStore(const ExperimentOptions& options, size_t node,
-                     CorpusGenerator& corpus,
-                     const std::function<Status(storm::ObjectId,
-                                                const Bytes&)>& put) {
-  size_t matches = options.MatchesAt(node);
-  if (options.query_pool > 0) {
-    const std::vector<std::string> tokens = PoolTokens(options);
-    for (size_t i = 0; i < options.objects_per_node; ++i) {
-      bool match = i < matches;
-      BP_RETURN_IF_ERROR(
-          put(GlobalObjectId(node, i), corpus.MakeObject(match, tokens)));
-    }
-    return Status::OK();
-  }
-  for (size_t i = 0; i < options.objects_per_node; ++i) {
-    bool match = i < matches;
-    BP_RETURN_IF_ERROR(put(GlobalObjectId(node, i), corpus.MakeObject(match)));
-  }
-  return Status::OK();
-}
-
 storm::StormOptions StoreOptions(const ExperimentOptions& options) {
   storm::StormOptions s;
   s.buffer_frames = 128;
@@ -125,102 +82,24 @@ storm::StormOptions StoreOptions(const ExperimentOptions& options) {
   return s;
 }
 
-/// True when the run should record trace spans (option or BP_TRACE_OUT).
-bool TraceRequested(const ExperimentOptions& options) {
-  return options.trace || std::getenv("BP_TRACE_OUT") != nullptr;
-}
-
-/// The effective sampling cadence (BP_SAMPLE_INTERVAL_US wins; 0 = off).
-SimTime SampleInterval(const ExperimentOptions& options) {
-  if (const char* env = std::getenv("BP_SAMPLE_INTERVAL_US")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<SimTime>(v);
+/// Adds one simulated machine per topology node.
+std::vector<NodeId> AddNodes(World& world, const Topology& topo) {
+  std::vector<NodeId> ids;
+  ids.reserve(topo.node_count);
+  for (size_t i = 0; i < topo.node_count; ++i) {
+    ids.push_back(world.network().AddNode());
   }
-  return options.sample_interval;
-}
-
-/// The effective flight ring capacity (BP_FLIGHT_OUT enables; 0 = off).
-size_t FlightCapacity(const ExperimentOptions& options) {
-  if (options.flight_capacity > 0) return options.flight_capacity;
-  if (std::getenv("BP_FLIGHT_OUT") != nullptr) {
-    return obs::FlightRecorderOptions{}.capacity;
-  }
-  return 0;
-}
-
-/// Enables the simulator's flight recorder when requested. Called before
-/// any protocol stack registers message-type names so the recorder sees
-/// them all.
-void MaybeEnableFlight(sim::Simulator* simulator,
-                       const ExperimentOptions& options) {
-  const size_t capacity = FlightCapacity(options);
-  if (capacity == 0) return;
-  obs::FlightRecorderOptions fo;
-  fo.capacity = capacity;
-  if (const char* out = std::getenv("BP_FLIGHT_OUT")) fo.auto_dump_path = out;
-  simulator->EnableFlightRecorder(fo);
-}
-
-/// Sampler + driver when sampling is on (both null otherwise). One
-/// object so the Run* functions stay one-liners.
-struct Sampling {
-  std::unique_ptr<obs::TimeSeriesSampler> sampler;
-  std::unique_ptr<obs::SamplerDriver> driver;
-
-  Sampling(sim::Simulator* simulator, const metrics::Registry* registry,
-           const ExperimentOptions& options) {
-    const SimTime interval = SampleInterval(options);
-    if (interval <= 0) return;
-    sampler = std::make_unique<obs::TimeSeriesSampler>(registry, interval);
-    sampler->AddDefaultColumns();
-    driver = std::make_unique<obs::SamplerDriver>(simulator, sampler.get());
-  }
-
-  /// Re-arms per query round (the driver stops when the queue drains).
-  void Arm() {
-    if (driver != nullptr) driver->Arm();
-  }
-
-  void Finish(ExperimentResult* result) {
-    if (sampler != nullptr) result->timeseries = sampler->Take();
-  }
-};
-
-/// One span covering a whole query, from issue to last answer.
-void RecordQuerySpan(sim::Simulator& simulator, uint32_t base_node,
-                     uint64_t query_id, SimTime start, SimTime duration) {
-  trace::TraceRecorder* recorder = simulator.trace();
-  if (recorder == nullptr) return;
-  trace::Span span;
-  span.name = "query";
-  span.cat = "query";
-  span.tid = base_node;
-  span.ts = start;
-  span.dur = duration;
-  span.flow = query_id;
-  recorder->RecordSpan(std::move(span));
+  return ids;
 }
 
 // ------------------------------------------------------------------ BestPeer
 
 Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
-  // Declared first so instruments outlive every component holding handles.
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  Sampling sampling(&simulator, &registry, options);
-  options.fault.EnableOn(&simulator, options.seed, &registry);
-  sim::NetworkOptions net_options = options.net;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
-  core::SharedInfra infra;
-
+  World world(options.obs, options.fault, options.seed, options.net);
+  sim::Simulator& simulator = world.simulator();
+  core::SharedInfra& infra = world.infra();
   const Topology& topo = options.topology;
-  std::vector<NodeId> ids;
-  ids.reserve(topo.node_count);
-  for (size_t i = 0; i < topo.node_count; ++i) ids.push_back(network.AddNode());
+  const std::vector<NodeId> ids = AddNodes(world, topo);
 
   core::BestPeerConfig config;
   config.max_direct_peers = options.max_direct_peers;
@@ -230,7 +109,7 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
   config.auto_fetch = options.auto_fetch;
   config.codec = options.codec;
   config.default_ttl = options.ttl;
-  config.metrics = &registry;
+  config.metrics = &world.registry();
   config.enable_result_cache = options.enable_result_cache;
   config.result_cache_bytes = options.result_cache_bytes;
   config.cache_lru_only = options.cache_lru_only;
@@ -255,15 +134,15 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;
   nodes.reserve(topo.node_count);
   CorpusGenerator corpus({options.object_size, 500, 0.8}, options.seed);
+  const std::vector<std::string> tokens =
+      CorpusGenerator::PoolTokens(options.query_pool);
   for (size_t i = 0; i < topo.node_count; ++i) {
     BP_ASSIGN_OR_RETURN(auto node, core::BestPeerNode::Create(
-                                       fleet.For(ids[i]), &infra, config));
+                                       world.fleet().For(ids[i]), &infra,
+                                       config));
     BP_RETURN_IF_ERROR(node->InitStorage(StoreOptions(options)));
-    BP_RETURN_IF_ERROR(PopulateStore(
-        options, i, corpus,
-        [&node](storm::ObjectId id, const Bytes& content) {
-          return node->ShareObject(id, content);
-        }));
+    BP_RETURN_IF_ERROR(ShareCorpus(*node, i, options.objects_per_node,
+                                   options.MatchesAt(i), corpus, tokens));
     nodes.push_back(std::move(node));
   }
   for (const auto& [a, b] : topo.edges) {
@@ -303,7 +182,7 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
                 std::to_string(query_zipf->Sample(*query_rng));
     }
     BP_ASSIGN_OR_RETURN(uint64_t query_id, base.IssueSearch(keyword));
-    sampling.Arm();
+    world.Arm();
     simulator.RunUntilIdle();
     const core::QuerySession* session = base.FindSession(query_id);
     if (session == nullptr) {
@@ -324,9 +203,8 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
                             ? session->fetches()
                             : session->responses();
     for (auto& e : metrics.responses) e.time -= session->start_time();
-    RecordQuerySpan(simulator, static_cast<uint32_t>(ids[topo.base]),
-                    query_id, session->start_time(),
-                    session->completion_time());
+    world.RecordQuery(ids[topo.base], query_id, session->start_time(),
+                      session->completion_time());
     result.queries.push_back(std::move(metrics));
 
     if (options.scheme == Scheme::kBpr) {
@@ -351,30 +229,16 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
       simulator.RunUntilIdle();
     }
   }
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  sampling.Finish(&result);
+  world.Finish(&result);
   return result;
 }
 
 // ------------------------------------------------------------------ CS
 
 Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  Sampling sampling(&simulator, &registry, options);
-  sim::NetworkOptions net_options = options.net;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
-
+  World world(options.obs, options.fault, options.seed, options.net);
   const Topology& topo = options.topology;
-  std::vector<NodeId> ids;
-  for (size_t i = 0; i < topo.node_count; ++i) ids.push_back(network.AddNode());
+  const std::vector<NodeId> ids = AddNodes(world, topo);
 
   baseline::CsConfig config;
   config.single_thread = options.scheme == Scheme::kScs;
@@ -384,18 +248,17 @@ Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
 
   std::vector<std::unique_ptr<baseline::CsNode>> nodes;
   CorpusGenerator corpus({options.object_size, 500, 0.8}, options.seed);
+  const std::vector<std::string> tokens =
+      CorpusGenerator::PoolTokens(options.query_pool);
   for (size_t i = 0; i < topo.node_count; ++i) {
-    BP_ASSIGN_OR_RETURN(auto node,
-                        baseline::CsNode::Create(fleet.For(ids[i]), config));
+    BP_ASSIGN_OR_RETURN(auto node, baseline::CsNode::Create(
+                                       world.fleet().For(ids[i]), config));
     storm::StormOptions store = StoreOptions(options);
-    store.metrics = &registry;
+    store.metrics = &world.registry();
     store.metrics_label = std::to_string(ids[i]);
     BP_RETURN_IF_ERROR(node->InitStorage(store));
-    BP_RETURN_IF_ERROR(PopulateStore(
-        options, i, corpus,
-        [&node](storm::ObjectId id, const Bytes& content) {
-          return node->ShareObject(id, content);
-        }));
+    BP_RETURN_IF_ERROR(ShareCorpus(*node, i, options.objects_per_node,
+                                   options.MatchesAt(i), corpus, tokens));
     nodes.push_back(std::move(node));
   }
   for (const auto& [a, b] : topo.edges) {
@@ -408,8 +271,8 @@ Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
   for (size_t q = 0; q < options.queries; ++q) {
     BP_ASSIGN_OR_RETURN(uint64_t query_id,
                         base.IssueQuery(CorpusGenerator::kNeedle));
-    sampling.Arm();
-    simulator.RunUntilIdle();
+    world.Arm();
+    world.simulator().RunUntilIdle();
     const baseline::CsSession* session = base.FindSession(query_id);
     if (session == nullptr) return Status::Internal("cs session lost");
     QueryMetrics metrics;
@@ -418,35 +281,20 @@ Result<ExperimentResult> RunCs(const ExperimentOptions& options) {
     metrics.responders = session->responder_count();
     metrics.responses = session->answers();
     for (auto& e : metrics.responses) e.time -= session->start_time();
-    RecordQuerySpan(simulator, static_cast<uint32_t>(ids[topo.base]),
-                    query_id, session->start_time(),
-                    session->completion_time());
+    world.RecordQuery(ids[topo.base], query_id, session->start_time(),
+                      session->completion_time());
     result.queries.push_back(std::move(metrics));
   }
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  sampling.Finish(&result);
+  world.Finish(&result);
   return result;
 }
 
 // ------------------------------------------------------------------ Gnutella
 
 Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
-  metrics::Registry registry;
-  sim::Simulator simulator;
-  if (TraceRequested(options)) simulator.EnableTracing();
-  MaybeEnableFlight(&simulator, options);
-  Sampling sampling(&simulator, &registry, options);
-  sim::NetworkOptions net_options = options.net;
-  net_options.metrics = &registry;
-  sim::SimNetwork network(&simulator, net_options);
-  net::SimTransportFleet fleet(&network);
-
+  World world(options.obs, options.fault, options.seed, options.net);
   const Topology& topo = options.topology;
-  std::vector<NodeId> ids;
-  for (size_t i = 0; i < topo.node_count; ++i) ids.push_back(network.AddNode());
+  const std::vector<NodeId> ids = AddNodes(world, topo);
 
   baseline::GnutellaConfig config;
   config.default_ttl = static_cast<uint8_t>(
@@ -455,8 +303,8 @@ Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
   std::vector<std::unique_ptr<baseline::GnutellaNode>> nodes;
   CorpusGenerator corpus({options.object_size, 500, 0.8}, options.seed);
   for (size_t i = 0; i < topo.node_count; ++i) {
-    BP_ASSIGN_OR_RETURN(
-        auto node, baseline::GnutellaNode::Create(fleet.For(ids[i]), config));
+    BP_ASSIGN_OR_RETURN(auto node, baseline::GnutellaNode::Create(
+                                       world.fleet().For(ids[i]), config));
     size_t matches = options.MatchesAt(i);
     for (size_t f = 0; f < options.files_per_node; ++f) {
       node->ShareFile(corpus.MakeFileName(f < matches, f),
@@ -474,8 +322,8 @@ Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
   for (size_t q = 0; q < options.queries; ++q) {
     BP_ASSIGN_OR_RETURN(uint64_t key,
                         base.IssueQuery(CorpusGenerator::kNeedle));
-    sampling.Arm();
-    simulator.RunUntilIdle();
+    world.Arm();
+    world.simulator().RunUntilIdle();
     const baseline::GnutellaSession* session = base.FindSession(key);
     if (session == nullptr) return Status::Internal("gnutella session lost");
     QueryMetrics metrics;
@@ -484,15 +332,11 @@ Result<ExperimentResult> RunGnutella(const ExperimentOptions& options) {
     metrics.responders = session->responder_count();
     metrics.responses = session->hits();
     for (auto& e : metrics.responses) e.time -= session->start_time();
-    RecordQuerySpan(simulator, static_cast<uint32_t>(ids[topo.base]), key,
-                    session->start_time(), session->completion_time());
+    world.RecordQuery(ids[topo.base], key, session->start_time(),
+                      session->completion_time());
     result.queries.push_back(std::move(metrics));
   }
-  result.wire_bytes = network.total_wire_bytes();
-  result.metrics = registry.TakeSnapshot();
-  result.trace = simulator.shared_trace();
-  result.flight = simulator.shared_flight();
-  sampling.Finish(&result);
+  world.Finish(&result);
   return result;
 }
 
@@ -506,37 +350,17 @@ Result<ExperimentResult> RunExperiment(const ExperimentOptions& options) {
       options.matches_per_node_vec.size() != options.topology.node_count) {
     return Status::InvalidArgument("placement size != node count");
   }
-  Result<ExperimentResult> result = Status::InvalidArgument("unknown scheme");
   switch (options.scheme) {
     case Scheme::kScs:
     case Scheme::kMcs:
-      result = RunCs(options);
-      break;
+      return RunCs(options);
     case Scheme::kBps:
     case Scheme::kBpr:
-      result = RunBestPeer(options);
-      break;
+      return RunBestPeer(options);
     case Scheme::kGnutella:
-      result = RunGnutella(options);
-      break;
+      return RunGnutella(options);
   }
-  if (result.ok() && result.value().trace != nullptr) {
-    if (const char* out = std::getenv("BP_TRACE_OUT")) {
-      Status s = result.value().trace->WriteChromeJson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_TRACE_OUT write failed: " << s.ToString();
-      }
-    }
-  }
-  if (result.ok() && result.value().flight != nullptr) {
-    if (const char* out = std::getenv("BP_FLIGHT_OUT")) {
-      Status s = result.value().flight->WriteNdjson(out);
-      if (!s.ok()) {
-        BP_LOG(Warn) << "BP_FLIGHT_OUT write failed: " << s.ToString();
-      }
-    }
-  }
-  return result;
+  return Status::InvalidArgument("unknown scheme");
 }
 
 Result<ExperimentResult> RunAveraged(ExperimentOptions options,

@@ -2,22 +2,18 @@
 #define BESTPEER_WORKLOAD_EXPERIMENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/config.h"
 #include "core/session.h"
-#include "obs/flight_recorder.h"
-#include "obs/timeseries.h"
 #include "sim/network.h"
-#include "util/metrics.h"
 #include "util/result.h"
 #include "util/sim_time.h"
-#include "util/trace.h"
 #include "workload/corpus.h"
 #include "workload/fault_options.h"
 #include "workload/topology.h"
+#include "workload/world.h"
 
 namespace bestpeer::workload {
 
@@ -46,23 +42,11 @@ struct QueryMetrics {
 };
 
 /// Full outcome of one experiment (same query repeated `queries` times).
-struct ExperimentResult {
+/// RunAveraged averages wire bytes over seeds, sums their metric
+/// snapshots and keeps the first seed's trace, timeseries and flight
+/// recorder.
+struct ExperimentResult : RunArtifacts {
   std::vector<QueryMetrics> queries;
-  /// Total bytes that crossed the simulated wire over all queries.
-  uint64_t wire_bytes = 0;
-  /// Snapshot of every instrument the run touched (net.*, cpu.*, agent.*,
-  /// core.*, storm.*). RunAveraged sums snapshots across seeds.
-  metrics::Snapshot metrics;
-  /// Per-query trace spans, present iff tracing was on (ExperimentOptions
-  /// trace flag or BP_TRACE_OUT). RunAveraged keeps the first seed's trace.
-  std::shared_ptr<trace::TraceRecorder> trace;
-  /// Periodic Registry samples, non-empty iff sample_interval (or
-  /// BP_SAMPLE_INTERVAL_US) was set. RunAveraged keeps the first seed's.
-  obs::TimeSeries timeseries;
-  /// Flight-recorder ring, present iff flight recording was on
-  /// (flight_capacity or BP_FLIGHT_OUT). RunAveraged keeps the first
-  /// seed's recorder.
-  std::shared_ptr<obs::FlightRecorder> flight;
 
   double MeanCompletionMs() const;
   double CompletionMs(size_t query_index) const;
@@ -131,6 +115,8 @@ struct ExperimentOptions {
 
   /// Fault injection & recovery (shared knob block; defaults keep the
   /// fault machinery entirely out of the run — bit-identical schedules).
+  /// message_loss applies to every scheme; the recovery knobs are
+  /// BestPeer-only.
   FaultRecoveryOptions fault;
 
   /// Index-backed search: agents (and CS servers) answer from the StorM
@@ -166,21 +152,8 @@ struct ExperimentOptions {
   uint64_t seed = 42;
   sim::NetworkOptions net;
 
-  /// Record per-query trace spans (query launch, agent hops, scans,
-  /// answer return) against the virtual clock. Also forced on when the
-  /// BP_TRACE_OUT environment variable is set, in which case
-  /// RunExperiment writes the Chrome-trace JSON to that path on return.
-  bool trace = false;
-
-  /// Sim-time sampling cadence for the result's `timeseries` (0 = off).
-  /// BP_SAMPLE_INTERVAL_US (microseconds) overrides when set.
-  SimTime sample_interval = 0;
-
-  /// Flight-recorder ring capacity in events (0 = off). Setting
-  /// BP_FLIGHT_OUT also enables it (default capacity) and makes
-  /// RunExperiment write the NDJSON dump to that path on return;
-  /// anomalies additionally auto-dump there mid-run.
-  size_t flight_capacity = 0;
+  /// Trace, timeseries and flight planes (see ObsOptions).
+  ObsOptions obs;
 
   /// Number of matches expected at node `i`.
   size_t MatchesAt(size_t i) const {

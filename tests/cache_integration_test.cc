@@ -312,9 +312,9 @@ TEST(CacheWorkloadTest, ObservabilityDoesNotPerturbCacheSchedule) {
   workload::ExperimentOptions plain = ZipfWorkload();
   plain.enable_result_cache = true;
   workload::ExperimentOptions instrumented = plain;
-  instrumented.trace = true;
-  instrumented.sample_interval = Millis(5);
-  instrumented.flight_capacity = 4096;
+  instrumented.obs = {.trace = true,
+                      .sample_interval = Millis(5),
+                      .flight_capacity = 4096};
 
   auto a = workload::RunExperiment(plain);
   auto b = workload::RunExperiment(instrumented);

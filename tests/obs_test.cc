@@ -232,7 +232,7 @@ TEST(BenchDiffTest, MissingRowIsStructuralError) {
 
 // --- observability determinism (same seed + faults) -----------------------
 
-workload::ChurnOptions FaultyChurn(metrics::Registry* registry) {
+workload::ChurnOptions FaultyChurn() {
   workload::ChurnOptions o;
   o.node_count = 12;
   o.starter_peers = 2;
@@ -243,19 +243,16 @@ workload::ChurnOptions FaultyChurn(metrics::Registry* registry) {
   o.fault.liglo_retries = 2;
   o.fault.query_deadline = Seconds(1);
   o.seed = 7;
-  o.metrics = registry;
-  o.trace = true;
-  o.sample_interval = Millis(5);
-  o.flight_capacity = 4096;
+  o.obs = {.trace = true,
+           .sample_interval = Millis(5),
+           .flight_capacity = 4096};
   return o;
 }
 
 TEST(ObsDeterminismTest, SameSeedSameFaultsBitIdenticalDumps) {
-  metrics::Registry r1;
-  auto a = workload::RunChurnExperiment(FaultyChurn(&r1));
+  auto a = workload::RunChurnExperiment(FaultyChurn());
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  metrics::Registry r2;
-  auto b = workload::RunChurnExperiment(FaultyChurn(&r2));
+  auto b = workload::RunChurnExperiment(FaultyChurn());
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
   ASSERT_NE(a->flight, nullptr);
@@ -268,13 +265,9 @@ TEST(ObsDeterminismTest, SameSeedSameFaultsBitIdenticalDumps) {
 }
 
 TEST(ObsDeterminismTest, RecorderAndSamplerDoNotPerturbTheSchedule) {
-  metrics::Registry r1;
-  workload::ChurnOptions with = FaultyChurn(&r1);
-  metrics::Registry r2;
-  workload::ChurnOptions without = FaultyChurn(&r2);
-  without.trace = false;
-  without.sample_interval = 0;
-  without.flight_capacity = 0;
+  workload::ChurnOptions with = FaultyChurn();
+  workload::ChurnOptions without = FaultyChurn();
+  without.obs = {};
 
   auto a = workload::RunChurnExperiment(with);
   auto b = workload::RunChurnExperiment(without);
@@ -301,8 +294,8 @@ TEST(CriticalPathTest, ComponentsSumToEndToEndLatency) {
   options.matches_per_node = 4;
   options.queries = 3;
   options.ttl = 16;
-  options.trace = true;
-  options.flight_capacity = 4096;
+  options.obs.trace = true;
+  options.obs.flight_capacity = 4096;
   auto result = workload::RunExperiment(options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_NE(result->trace, nullptr);

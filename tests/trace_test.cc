@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "scenario/runner.h"
+#include "workload/churn.h"
 #include "workload/experiment.h"
 #include "workload/topology.h"
 
@@ -24,13 +27,13 @@ ExperimentOptions TracedStar() {
   o.queries = 2;
   o.max_direct_peers = 4;
   o.ttl = 4;
-  o.trace = true;
+  o.obs.trace = true;
   return o;
 }
 
 TEST(TraceE2eTest, TracingOffByDefault) {
   ExperimentOptions options = TracedStar();
-  options.trace = false;
+  options.obs.trace = false;
   auto result = RunExperiment(options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().trace, nullptr);
@@ -90,21 +93,93 @@ TEST(TraceE2eTest, StarQueryProducesNestedSpans) {
   }
 }
 
-TEST(TraceE2eTest, NetSpansAccountForAllWireBytes) {
-  auto result = RunExperiment(TracedStar());
-  ASSERT_TRUE(result.ok());
-  const auto& run = result.value();
-  ASSERT_NE(run.trace, nullptr);
-  uint64_t traced_wire = 0;
-  for (const auto& s : run.trace->Spans()) {
-    if (s.cat != "net") continue;
-    for (const auto& [key, value] : s.args) {
-      if (key == "wire") traced_wire += value;
+/// One fully observed run of a workload driver.
+struct DriverRun {
+  const char* driver;
+  RunArtifacts artifacts;
+  size_t queries_issued;
+};
+
+/// Every driver with all three planes on: the experiment star, a lossy
+/// churn run and a small scenario fleet.
+std::vector<DriverRun> ObservedDriverRuns() {
+  const ObsOptions planes = {.trace = true,
+                             .sample_interval = Millis(5),
+                             .flight_capacity = 4096};
+  std::vector<DriverRun> runs;
+
+  ExperimentOptions experiment = TracedStar();
+  experiment.obs = planes;
+  auto e = RunExperiment(experiment);
+  EXPECT_TRUE(e.ok()) << e.status().ToString();
+  if (e.ok()) runs.push_back({"experiment", *e, e->queries.size()});
+
+  ChurnOptions churn;
+  churn.node_count = 12;
+  churn.objects_per_node = 30;
+  churn.matches_per_node = 3;
+  churn.rounds = 4;
+  churn.fault.message_loss = 0.1;
+  churn.fault.liglo_retries = 2;
+  churn.fault.query_deadline = Seconds(1);
+  churn.obs = planes;
+  auto c = RunChurnExperiment(churn);
+  EXPECT_TRUE(c.ok()) << c.status().ToString();
+  if (c.ok()) runs.push_back({"churn", *c, c->rounds.size()});
+
+  scenario::ScenarioSpec spec;
+  spec.name = "traced";
+  spec.seed = 1234;
+  spec.query_pool = 4;
+  scenario::NodeClassSpec cls;
+  cls.name = "a";
+  cls.count = 10;
+  cls.objects_per_node = 24;
+  cls.matches_per_node = 3;
+  spec.classes = {cls};
+  scenario::PhaseSpec phase;
+  phase.name = "p0";
+  phase.duration_ms = 400;
+  phase.arrival.process = scenario::ArrivalProcess::kPoisson;
+  phase.arrival.rate_per_s = 25;
+  spec.phases = {phase};
+  scenario::ScenarioRunOptions scenario_options;
+  scenario_options.obs = planes;
+  auto r = scenario::RunScenario(spec, scenario_options);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (r.ok()) runs.push_back({"scenario", *r, r->queries.size()});
+  return runs;
+}
+
+TEST(TraceE2eTest, EveryDriverTracesEveryQueryAndAllWireBytes) {
+  const std::vector<DriverRun> runs = ObservedDriverRuns();
+  ASSERT_EQ(runs.size(), 3u);
+  for (const DriverRun& run : runs) {
+    SCOPED_TRACE(run.driver);
+    const RunArtifacts& a = run.artifacts;
+    ASSERT_NE(a.trace, nullptr);
+    uint64_t traced_wire = 0;
+    size_t query_spans = 0;
+    for (const auto& s : a.trace->Spans()) {
+      if (s.cat == "query") ++query_spans;
+      if (s.cat != "net") continue;
+      for (const auto& [key, value] : s.args) {
+        if (key == "wire") traced_wire += value;
+      }
     }
+    // Every sent message produced exactly one wire span (delivered or
+    // dropped), so the spans account for 100% of the wire bytes.
+    EXPECT_GT(a.wire_bytes, 0u);
+    EXPECT_EQ(traced_wire, a.wire_bytes);
+    // One root span per issued query, so critical-path analysis sees
+    // every query of every driver.
+    EXPECT_GT(run.queries_issued, 0u);
+    EXPECT_EQ(query_spans, run.queries_issued);
+    EXPECT_FALSE(a.timeseries.empty());
+    ASSERT_NE(a.flight, nullptr);
+    EXPECT_GT(a.flight->recorded(), 0u);
+    EXPECT_FALSE(a.metrics.entries.empty());
   }
-  // Every sent message produced exactly one wire span (delivered or
-  // dropped), so the spans account for 100% of the wire bytes.
-  EXPECT_EQ(traced_wire, run.wire_bytes);
 }
 
 TEST(TraceE2eTest, ChromeJsonExportIsLoadable) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "obs/json_reader.h"
 #include "workload/churn.h"
 
 namespace bestpeer::workload {
@@ -113,6 +120,37 @@ TEST(ChurnTest, LossyRunWithRecoveryIsDeterministic) {
     EXPECT_EQ(a.rounds[i].received_answers, b.rounds[i].received_answers);
     EXPECT_EQ(a.rounds[i].completion, b.rounds[i].completion);
   }
+}
+
+TEST(ChurnTest, TraceOutEnvWritesOneQuerySpanPerRound) {
+  const std::string path = ::testing::TempDir() + "bp_churn_trace.json";
+  const char* saved = std::getenv("BP_TRACE_OUT");
+  const std::string previous = saved == nullptr ? "" : saved;
+  ::setenv("BP_TRACE_OUT", path.c_str(), 1);
+  auto result = RunChurnExperiment(SmallChurn());
+  if (saved == nullptr) {
+    ::unsetenv("BP_TRACE_OUT");
+  } else {
+    ::setenv("BP_TRACE_OUT", previous.c_str(), 1);
+  }
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "no trace written to " << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  auto doc = obs::ParseJson(text.str());
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const obs::JsonValue* events = doc->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  size_t queries = 0;
+  for (const obs::JsonValue& event : events->AsArray()) {
+    const obs::JsonValue* cat = event.Find("cat");
+    ASSERT_NE(cat, nullptr);
+    if (cat->AsString() == "query") ++queries;
+  }
+  EXPECT_EQ(queries, result->rounds.size());
 }
 
 TEST(ChurnTest, RejectsDegenerateOptions) {

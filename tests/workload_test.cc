@@ -206,6 +206,27 @@ TEST(ExperimentTest, DeterministicAcrossRuns) {
   }
 }
 
+TEST(ExperimentTest, MessageLossAppliesToClientServerSchemes) {
+  ExperimentOptions options;
+  options.topology = MakeStar(6);
+  options.scheme = Scheme::kMcs;
+  options.objects_per_node = 30;
+  options.matches_per_node = 2;
+  options.queries = 2;
+  options.fault.message_loss = 0.2;
+  auto a = RunExperiment(options).value();
+  auto b = RunExperiment(options).value();
+  EXPECT_GT(a.metrics.Value("fault.drops"), 0);
+  // The injector is seeded from the run seed: same drops, same run.
+  EXPECT_EQ(a.metrics.Value("fault.drops"), b.metrics.Value("fault.drops"));
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  ASSERT_EQ(a.queries.size(), b.queries.size());
+  for (size_t i = 0; i < a.queries.size(); ++i) {
+    EXPECT_EQ(a.queries[i].completion, b.queries[i].completion);
+    EXPECT_EQ(a.queries[i].total_answers, b.queries[i].total_answers);
+  }
+}
+
 TEST(ExperimentTest, AveragedRunsMerge) {
   ExperimentOptions options;
   options.topology = MakeLine(3);
