@@ -56,7 +56,6 @@ workload::ExperimentOptions PlacementWorkload() {
   o.enable_replication = true;
   o.replica_hot_threshold = 3;
   o.replica_top_k = 8;
-  o.count_stale_probes = true;
   return o;
 }
 

@@ -105,7 +105,9 @@ void BM_AgentFloodLine(benchmark::State& state) {
                                });
     }
     NoopAgent agent;
-    runtimes[0]->Launch(1, agent, static_cast<uint16_t>(kNodes), false).ok();
+    runtimes[0]
+        ->Launch(1, agent, static_cast<uint16_t>(kNodes), neighbors[0])
+        .ok();
     simulator.RunUntilIdle();
     benchmark::DoNotOptimize(runtimes[kNodes - 1]->agents_executed());
   }

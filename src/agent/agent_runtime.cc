@@ -1,9 +1,7 @@
 #include "agent/agent_runtime.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "util/logging.h"
 
 namespace bestpeer::agent {
@@ -46,17 +44,12 @@ Status AgentRuntime::SendAgentTo(NodeId dst, const AgentMessage& msg) {
   }
   transport_->Send(dst, kAgentTransferType, std::move(compressed), extra,
                    /*flow=*/msg.agent_id);
-  if (obs::FlightRecorder* flight = transport_->flight()) {
-    obs::FlightEvent e;
-    e.ts = transport_->clock().now();
-    e.type = obs::EventType::kAgentHop;
-    e.node = node_;
-    e.peer = dst;
-    e.flow = msg.agent_id;
-    e.a = msg.hops;
-    e.b = extra;  // Shipped class bytes, 0 when the code was cached.
-    flight->Record(e);
-  }
+  // b = shipped class bytes, 0 when the code was cached.
+  transport_->RecordFlight({.type = obs::EventType::kAgentHop,
+                            .peer = dst,
+                            .flow = msg.agent_id,
+                            .a = msg.hops,
+                            .b = extra});
   ++clones_sent_;
   migrations_c_->Increment();
   return Status::OK();
@@ -132,17 +125,15 @@ Status AgentRuntime::ExecuteIncoming(const AgentMessage& msg) {
   return Status::OK();
 }
 
-Status AgentRuntime::LaunchTo(uint64_t agent_id, Agent& agent, uint16_t ttl,
-                              const std::vector<NodeId>& targets) {
+Status AgentRuntime::Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
+                            const std::vector<NodeId>& targets) {
   if (!registry_->Contains(agent.class_name())) {
     return Status::FailedPrecondition("agent class not registered: " +
                                       std::string(agent.class_name()));
   }
-  if (ttl == 0) {
-    return Status::InvalidArgument("targeted launch needs ttl >= 1");
-  }
   code_cache_->Load(node_, agent.class_name());
   seen_[agent_id] = transport_->clock().now();
+  if (ttl == 0) return Status::OK();
 
   AgentMessage msg;
   msg.agent_id = agent_id;
@@ -157,65 +148,6 @@ Status AgentRuntime::LaunchTo(uint64_t agent_id, Agent& agent, uint16_t ttl,
   for (NodeId target : targets) {
     if (target == node_) continue;
     BP_RETURN_IF_ERROR(SendAgentTo(target, msg));
-  }
-  return Status::OK();
-}
-
-Status AgentRuntime::Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
-                            bool execute_locally,
-                            const std::vector<NodeId>* skip) {
-  if (!registry_->Contains(agent.class_name())) {
-    return Status::FailedPrecondition("agent class not registered: " +
-                                      std::string(agent.class_name()));
-  }
-  code_cache_->Load(node_, agent.class_name());
-  seen_[agent_id] = transport_->clock().now();
-
-  AgentMessage msg;
-  msg.agent_id = agent_id;
-  msg.class_name = std::string(agent.class_name());
-  msg.origin = node_;
-  msg.ttl = ttl;
-  msg.hops = 0;
-  BinaryWriter writer;
-  agent.SaveState(writer);
-  msg.state = writer.Take();
-
-  if (ttl > 0) {
-    AgentMessage clone = msg;
-    clone.ttl = static_cast<uint16_t>(ttl - 1);
-    clone.hops = 1;
-    for (NodeId n : neighbors_()) {
-      if (n == node_) continue;
-      if (skip != nullptr &&
-          std::find(skip->begin(), skip->end(), n) != skip->end()) {
-        continue;
-      }
-      BP_RETURN_IF_ERROR(SendAgentTo(n, clone));
-    }
-  }
-
-  if (execute_locally) {
-    // Local execution: the class is local and no reconstruction happens.
-    AgentContext ctx(host_, node_, node_, 0, ttl);
-    BP_RETURN_IF_ERROR(agent.Execute(ctx));
-    ++agents_executed_;
-    executed_c_->Increment();
-    hops_at_execute_->Observe(0);
-    auto sends = std::move(ctx.mutable_sends());
-    auto codec = options_.codec;
-    net::Transport* transport = transport_;
-    transport_->RunCpu(
-        ctx.cpu_cost(),
-        [transport, codec, agent_id, sends = std::move(sends)]() {
-          for (const auto& send : sends) {
-            auto compressed = codec->Compress(send.payload);
-            if (!compressed.ok()) continue;
-            transport->Send(send.dst, send.type,
-                            std::move(compressed).value(), 0, agent_id);
-          }
-        },
-        "agent.execute", agent_id);
   }
   return Status::OK();
 }

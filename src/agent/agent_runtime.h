@@ -66,21 +66,14 @@ class AgentRuntime {
   AgentRuntime(const AgentRuntime&) = delete;
   AgentRuntime& operator=(const AgentRuntime&) = delete;
 
-  /// Launches an agent from this node to all current neighbours; the
-  /// launching node also executes the agent locally (so local resources
-  /// participate in the search). `agent_id` must be globally unique.
-  /// Neighbours listed in `skip` (may be null) receive no clone — the
-  /// content-summary layer uses this to prune peers whose summary
-  /// provably excludes the query.
+  /// Launches an agent from this node to `targets` (the caller picks
+  /// them: the base node's direct peers, minus any the content-summary
+  /// layer pruned, or the peers the shipping layer chose for code
+  /// shipping). Each target receives a clone with TTL-1 and Hops 1 and
+  /// clones onward while TTL lasts; TTL 0 sends nothing. `agent_id` must
+  /// be globally unique.
   Status Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
-                bool execute_locally = true,
-                const std::vector<NodeId>* skip = nullptr);
-
-  /// Launches an agent to an explicit set of destinations only (used by
-  /// the adaptive shipping layer to interrogate selected peers). The
-  /// agent still clones onward from the targets if ttl > 1.
-  Status LaunchTo(uint64_t agent_id, Agent& agent, uint16_t ttl,
-                  const std::vector<NodeId>& targets);
+                const std::vector<NodeId>& targets);
 
   /// Feeds a raw transport message into the engine (core nodes call this
   /// from their deliver handler for kAgentTransferType messages).

@@ -98,7 +98,7 @@ bool ResultCache::InsertSlice(std::string_view key, CachedSlice slice) {
   if (it == entries_.end()) {
     // New key competing for space: TinyLFU admission — only displace the
     // LRU victim when this key is estimated at least as hot.
-    if (!options_.lru_only && !entries_.empty() &&
+    if (!entries_.empty() &&
         bytes_used_ + slice.bytes > options_.byte_budget) {
       auto victim = entries_.begin();
       for (auto cand = entries_.begin(); cand != entries_.end(); ++cand) {

@@ -20,9 +20,6 @@ struct ResultCacheOptions {
   /// Total accounted bytes the cache may hold; the oldest entries are
   /// evicted past it. Inserts larger than the whole budget are rejected.
   size_t byte_budget = 256 * 1024;
-  /// Disables the TinyLFU admission filter: every insert is admitted and
-  /// eviction is pure LRU (the ablation arm).
-  bool lru_only = false;
   /// Metrics sink (not owned; may be null).
   metrics::Registry* metrics = nullptr;
   /// Flight recorder for cache events (not owned; may be null).

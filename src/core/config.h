@@ -37,24 +37,14 @@ struct BestPeerConfig {
   /// turns compression off).
   std::string codec = "lzss";
 
-  /// Whether IssueSearch also runs the agent on the local store.
-  bool search_local_store = false;
-
   /// In mode 2, automatically fetch content for every descriptor received.
   bool auto_fetch = true;
 
   /// Inbound connection cap: a node accepts peer-connect notices only
-  /// while its total peer count is below this. 0 means 2x
-  /// max_direct_peers (outgoing adoption is always bounded by k; the
-  /// overflow headroom is for inbound links, like a servent's separate
-  /// incoming-connection limit).
-  size_t max_accepted_peers = 0;
-
-  /// Effective inbound acceptance cap.
-  size_t AcceptCap() const {
-    return max_accepted_peers != 0 ? max_accepted_peers
-                                   : 2 * max_direct_peers;
-  }
+  /// while its total peer count is below 2x max_direct_peers (outgoing
+  /// adoption is always bounded by k; the overflow headroom is for
+  /// inbound links, like a servent's separate incoming-connection limit).
+  size_t AcceptCap() const { return 2 * max_direct_peers; }
 
   /// Weight of accumulated answer history when reconfiguring: the score
   /// fed to the strategy is answers + history_weight * previous_score,
@@ -124,9 +114,6 @@ struct BestPeerConfig {
   /// Result-cache byte budget (LRU eviction past it).
   size_t result_cache_bytes = 256 * 1024;
 
-  /// Disables TinyLFU admission: plain LRU (ablation arm).
-  bool cache_lru_only = false;
-
   /// CPU charged for a responder-side cache probe that hits (replacing
   /// the per-object scan cost).
   SimTime cache_probe_cost = Micros(5);
@@ -180,12 +167,6 @@ struct BestPeerConfig {
 
   /// Replica targets per promotion under QoS placement.
   size_t replica_fanout = 2;
-
-  /// Counts stale cache probes (full replies that arrive for a probed
-  /// source whose epoch moved) in core.cache_stale_probes. Off by
-  /// default so existing metric snapshots stay byte-identical; counting
-  /// never affects scheduling.
-  bool count_stale_probes = false;
 
   // --- index-backed search & content summaries (opt-in) -----------------
 

@@ -175,20 +175,6 @@ Result<UpdateNotifyMessage> UpdateNotifyMessage::Decode(const Bytes& data) {
   return m;
 }
 
-Bytes ReplicatePushMessage::Encode() const {
-  BinaryWriter w;
-  EncodeItems(w, items);
-  return w.Take();
-}
-
-Result<ReplicatePushMessage> ReplicatePushMessage::Decode(
-    const Bytes& data) {
-  BinaryReader r(data);
-  ReplicatePushMessage m;
-  BP_ASSIGN_OR_RETURN(m.items, DecodeItems(r));
-  return m;
-}
-
 Bytes ActiveObjectRequest::Encode() const {
   BinaryWriter w;
   w.WriteU64(request_id);

@@ -24,7 +24,6 @@ constexpr uint32_t kPeerConnectType = 0x42500006;
 constexpr uint32_t kPeerDisconnectType = 0x42500007;
 constexpr uint32_t kDataShipReqType = 0x42500008;
 constexpr uint32_t kDataShipRespType = 0x42500009;
-constexpr uint32_t kReplicatePushType = 0x4250000A;
 constexpr uint32_t kWatchReqType = 0x4250000B;
 constexpr uint32_t kUpdateNotifyType = 0x4250000C;
 constexpr uint32_t kCacheReplicaPushType = 0x4250000D;
@@ -64,12 +63,14 @@ struct SearchResultMessage {
   static Result<SearchResultMessage> Decode(const Bytes& data);
 };
 
-/// Hot-answer replica push (result-cache subsystem): a responder copies
-/// the objects behind a frequently served answer to a direct peer, so the
-/// next query finds them at hop 1. Distinct from ReplicatePushMessage —
-/// these copies carry a TTL and expire at the receiver (churn safety).
+/// Replica push. A hot-answer push (result-cache subsystem) copies the
+/// objects behind a frequently served answer to a direct peer, so the
+/// next query finds them at hop 1; its copies are leased, carry a TTL and
+/// expire at the receiver (churn safety). A §6 ReplicateObjects push
+/// (source_epoch 0) places copies the receiver keeps as its own.
 struct CacheReplicaPushMessage {
-  /// Pusher's IndexEpoch when the objects were read.
+  /// Pusher's IndexEpoch when the objects were read (storm mutation
+  /// epoch + 1, so never 0 for a hot push); 0 marks a lease-less push.
   uint64_t source_epoch = 0;
   /// Receiver-side lifetime (0 = no expiry).
   int64_t ttl = 0;
@@ -113,16 +114,6 @@ struct FetchResponseMessage {
 
   Bytes Encode() const;
   static Result<FetchResponseMessage> Decode(const Bytes& data);
-};
-
-/// Replica push: the owner copies objects to a peer so they can be
-/// answered closer to future requesters (the paper's §6 replication
-/// direction). Receivers store copies under the same global ids.
-struct ReplicatePushMessage {
-  std::vector<ResultItem> items;
-
-  Bytes Encode() const;
-  static Result<ReplicatePushMessage> Decode(const Bytes& data);
 };
 
 /// Watch subscription: the sender wants kUpdateNotifyType messages when

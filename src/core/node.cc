@@ -1,12 +1,11 @@
 #include "core/node.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/search_agent.h"
-#include "obs/flight_recorder.h"
 #include "storm/query_expr.h"
 #include "util/logging.h"
-#include "util/strings.h"
 
 namespace bestpeer::core {
 
@@ -63,6 +62,7 @@ Status BestPeerNode::Init() {
     if (config_.enable_result_cache) {
       remote_hits_c_ = reg->GetCounter("core.cache_remote_hits");
       notmod_orphans_c_ = reg->GetCounter("core.cache_notmod_orphans");
+      stale_probes_c_ = reg->GetCounter("core.cache_stale_probes");
       index_epoch_g_ = reg->GetGauge("core.index_epoch");
     }
     if (config_.enable_replication) {
@@ -75,14 +75,10 @@ Status BestPeerNode::Init() {
     if (config_.enable_gossip && config_.enable_result_cache) {
       gossip_invalidations_c_ = reg->GetCounter("core.gossip_invalidations");
     }
-    if (config_.count_stale_probes) {
-      stale_probes_c_ = reg->GetCounter("core.cache_stale_probes");
-    }
   }
   if (config_.enable_result_cache) {
     cache::ResultCacheOptions rc;
     rc.byte_budget = config_.result_cache_bytes;
-    rc.lru_only = config_.cache_lru_only;
     rc.metrics = config_.metrics;
     rc.flight = transport_->flight();
     rc.node = node_;
@@ -106,7 +102,6 @@ Status BestPeerNode::Init() {
   transport_->RegisterTypeName(kPeerDisconnectType, "peer.disconnect");
   transport_->RegisterTypeName(kDataShipReqType, "dataship.request");
   transport_->RegisterTypeName(kDataShipRespType, "dataship.response");
-  transport_->RegisterTypeName(kReplicatePushType, "replicate.push");
   transport_->RegisterTypeName(kWatchReqType, "watch.request");
   transport_->RegisterTypeName(kUpdateNotifyType, "update.notify");
   transport_->RegisterTypeName(kCacheReplicaPushType, "cache.replica_push");
@@ -157,10 +152,6 @@ Status BestPeerNode::Init() {
   dispatcher_->Register(kDataShipReqType, [this](const net::Message& m) {
     OnDataShipRequest(m);
   });
-  dispatcher_->Register(kReplicatePushType,
-                        [this](const net::Message& m) {
-                          OnReplicatePush(m);
-                        });
   dispatcher_->Register(kCacheReplicaPushType,
                         [this](const net::Message& m) {
                           OnCacheReplicaPush(m);
@@ -488,15 +479,8 @@ void BestPeerNode::RevokeLeasesFrom(NodeId peer) {
   std::vector<uint64_t> revoked = replica_mgr_->RevokeFrom(peer);
   for (uint64_t id : revoked) {
     if (storage_ != nullptr) storage_->Delete(id).ok();
-    if (auto* flight = transport_->flight()) {
-      obs::FlightEvent event;
-      event.ts = transport_->clock().now();
-      event.type = obs::EventType::kLeaseRevoke;
-      event.node = node_;
-      event.peer = peer;
-      event.a = id;
-      flight->Record(event);
-    }
+    transport_->RecordFlight(
+        {.type = obs::EventType::kLeaseRevoke, .peer = peer, .a = id});
     if (gossip_ != nullptr) gossip_->AnnounceLeaseExpire(id, 0);
   }
 }
@@ -619,15 +603,18 @@ Result<uint64_t> BestPeerNode::LaunchAgent(agent::Agent& agent,
                                            uint64_t query_id,
                                            const std::string& keyword,
                                            uint16_t ttl,
-                                           const std::vector<NodeId>* skip) {
+                                           const std::vector<NodeId>& skip) {
   if (ttl == 0) ttl = config_.default_ttl;
   queries_issued_c_->Increment();
   sessions_.emplace(
       query_id, QuerySession(query_id, keyword, config_.answer_mode,
                              transport_->clock().now()));
   inflight_sessions_g_->Add(1);
-  BP_RETURN_IF_ERROR(runtime_->Launch(query_id, agent, ttl,
-                                      config_.search_local_store, skip));
+  std::vector<NodeId> targets = peers_.Nodes();
+  std::erase_if(targets, [&skip](NodeId peer) {
+    return std::find(skip.begin(), skip.end(), peer) != skip.end();
+  });
+  BP_RETURN_IF_ERROR(runtime_->Launch(query_id, agent, ttl, targets));
   ArmSessionDeadline(query_id);
   return query_id;
 }
@@ -646,24 +633,19 @@ void BestPeerNode::FinalizeSession(uint64_t query_id) {
   ++sessions_finalized_;
   sessions_finalized_c_->Increment();
   inflight_sessions_g_->Add(-1);
-  if (obs::FlightRecorder* flight = transport_->flight()) {
-    obs::FlightEvent e;
-    e.ts = transport_->clock().now();
-    e.node = node_;
-    e.flow = query_id;
-    e.type = obs::EventType::kSessionFinalize;
-    e.a = it->second.total_answers();
-    e.b = it->second.responder_count();
-    flight->Record(e);
-    if (it->second.responder_count() == 0) {
-      // The deadline fired with nothing heard back — the signature of a
-      // dead base-node neighborhood or a lost agent.
-      e.type = obs::EventType::kDeadlineExpire;
-      e.a = 0;
-      e.b = 0;
-      flight->Record(e);
-      flight->TripAnomaly(e.ts, "deadline without responses query=" +
-                                    std::to_string(query_id));
+  transport_->RecordFlight({.type = obs::EventType::kSessionFinalize,
+                            .flow = query_id,
+                            .a = it->second.total_answers(),
+                            .b = it->second.responder_count()});
+  if (it->second.responder_count() == 0) {
+    // The deadline fired with nothing heard back — the signature of a
+    // dead base-node neighborhood or a lost agent.
+    transport_->RecordFlight(
+        {.type = obs::EventType::kDeadlineExpire, .flow = query_id});
+    if (obs::FlightRecorder* flight = transport_->flight()) {
+      flight->TripAnomaly(transport_->clock().now(),
+                          "deadline without responses query=" +
+                              std::to_string(query_id));
     }
   }
   UpdatePeerHealth(it->second);
@@ -733,8 +715,7 @@ Result<uint64_t> BestPeerNode::IssueSearch(const std::string& keyword,
     summary_skips_ += skip.size();
     summary_skips_c_->Add(skip.size());
   }
-  return LaunchAgent(agent, query_id, keyword, ttl,
-                     skip.empty() ? nullptr : &skip);
+  return LaunchAgent(agent, query_id, keyword, ttl, skip);
 }
 
 Result<uint64_t> BestPeerNode::IssueCompute(const std::string& filter_name,
@@ -743,7 +724,7 @@ Result<uint64_t> BestPeerNode::IssueCompute(const std::string& filter_name,
   uint64_t query_id = NextQueryId();
   ComputeAgent agent(query_id, filter_name, params,
                      config_.per_object_match_cost * 2);
-  return LaunchAgent(agent, query_id, filter_name, ttl);
+  return LaunchAgent(agent, query_id, filter_name, ttl, /*skip=*/{});
 }
 
 size_t BestPeerNode::StoreSizeHint(NodeId node) const {
@@ -793,7 +774,7 @@ Result<uint64_t> BestPeerNode::IssueDirectSearch(const std::string& keyword,
                       config_.per_object_match_cost,
                       config_.answer_descriptor_bytes);
     BP_RETURN_IF_ERROR(
-        runtime_->LaunchTo(query_id, agent, /*ttl=*/1, code_targets));
+        runtime_->Launch(query_id, agent, /*ttl=*/1, code_targets));
   }
   for (NodeId peer : data_targets) {
     DataShipRequest req;
@@ -814,13 +795,9 @@ void BestPeerNode::OnDataShipRequest(const net::Message& msg) {
   response->query_id = req->query_id;
   SimTime cost = 0;
   for (storm::ObjectId id : storage_->ListIds()) {
-    auto content = storage_->Get(id);
-    if (!content.ok()) continue;
-    ResultItem item;
-    item.id = id;
-    item.name = "obj-" + std::to_string(id);
-    item.content = std::move(content).value();
-    response->items.push_back(std::move(item));
+    auto item = ReadShared(id);
+    if (!item.ok()) continue;
+    response->items.push_back(std::move(item).value());
     cost += config_.fetch_per_object_cost;
   }
   NodeId requester = msg.src;
@@ -848,11 +825,12 @@ void BestPeerNode::OnDataShipResponse(const net::Message& msg) {
   store_size_hints_[msg.src] = resp->items.size();
 
   // Scan the shipped store locally — this node paid for the data, now it
-  // spends its own cycles on the filtering.
+  // spends its own cycles on the filtering, with the same query language
+  // the search agent evaluates (an unparsable query matches nothing).
   size_t matches = 0;
-  const std::string& keyword = it->second.keyword();
+  auto expr = storm::QueryExpr::Parse(it->second.keyword());
   for (const auto& item : resp->items) {
-    if (ContainsKeyword(ToString(item.content), keyword)) ++matches;
+    if (expr.ok() && expr->Matches(ToString(item.content))) ++matches;
   }
   SimTime cost = static_cast<SimTime>(resp->items.size()) *
                  config_.per_object_match_cost;
@@ -883,38 +861,23 @@ Status BestPeerNode::ReplicateObjects(
   if (storage_ == nullptr) {
     return Status::FailedPrecondition("storage not initialized");
   }
-  ReplicatePushMessage push;
+  // A lease-less push (source_epoch 0, no TTL): receivers keep the copies
+  // as their own, with or without a ReplicaManager.
+  CacheReplicaPushMessage push;
   for (storm::ObjectId id : ids) {
-    BP_ASSIGN_OR_RETURN(Bytes content, storage_->Get(id));
-    ResultItem item;
-    item.id = id;
-    item.name = "obj-" + std::to_string(id);
-    item.content = std::move(content);
+    BP_ASSIGN_OR_RETURN(ResultItem item, ReadShared(id));
     push.items.push_back(std::move(item));
   }
   Bytes encoded = push.Encode();
   for (NodeId peer : peers_.Nodes()) {
-    SendCompressed(peer, kReplicatePushType, encoded);
+    SendCompressed(peer, kCacheReplicaPushType, encoded);
   }
   return Status::OK();
 }
 
-void BestPeerNode::OnReplicatePush(const net::Message& msg) {
-  auto payload = DecodePayload(msg);
-  if (!payload.ok()) return;
-  auto push = ReplicatePushMessage::Decode(payload.value());
-  if (!push.ok() || storage_ == nullptr) return;
-  SimTime cost = config_.fetch_per_object_cost *
-                 static_cast<SimTime>(push->items.size());
-  auto items = std::make_shared<std::vector<ResultItem>>(
-      std::move(push->items));
-  transport_->RunCpu(cost, [this, items]() {
-    for (const auto& item : *items) {
-      // A replica we already hold (or the original) is simply kept.
-      Status s = storage_->Put(item.id, item.content);
-      if (s.ok()) ++replicas_stored_;
-    }
-  });
+Result<ResultItem> BestPeerNode::ReadShared(storm::ObjectId id) {
+  BP_ASSIGN_OR_RETURN(Bytes content, storage_->Get(id));
+  return ResultItem{id, "obj-" + std::to_string(id), std::move(content)};
 }
 
 const QuerySession* BestPeerNode::FindSession(uint64_t query_id) const {
@@ -1009,17 +972,11 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
     from_cache = true;
     ++cache_remote_hits_;
     remote_hits_c_->Increment();
-    if (obs::FlightRecorder* flight = transport_->flight()) {
-      obs::FlightEvent e;
-      e.ts = transport_->clock().now();
-      e.type = obs::EventType::kCacheHit;
-      e.node = node_;
-      e.peer = msg.src;
-      e.flow = result->query_id;
-      e.a = cached_ids->size();
-      e.b = result->cache_epoch;
-      flight->Record(e);
-    }
+    transport_->RecordFlight({.type = obs::EventType::kCacheHit,
+                              .peer = msg.src,
+                              .flow = result->query_id,
+                              .a = cached_ids->size(),
+                              .b = result->cache_epoch});
   }
 
   ++results_received_;
@@ -1036,8 +993,7 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
   // round trip was wasted. These are what gossiped epoch bumps eliminate
   // (the slice is invalidated before the query launches, so no probe is
   // armed for it). Counting is observational only.
-  if (config_.count_stale_probes && result->cache_epoch != 0 &&
-      !from_cache) {
+  if (result->cache_epoch != 0 && !from_cache) {
     auto snap_it = probe_snapshots_.find(result->query_id);
     if (snap_it != probe_snapshots_.end()) {
       auto s = snap_it->second.find(msg.src);
@@ -1121,13 +1077,9 @@ void BestPeerNode::PushHotReplicas(const std::vector<uint64_t>& ids) {
   push.source_epoch = storage_->mutation_epoch() + 1;
   push.ttl = config_.replica_ttl;
   for (uint64_t id : ids) {
-    auto content = storage_->Get(id);
-    if (!content.ok()) continue;  // Deleted since the answer was served.
-    ResultItem item;
-    item.id = id;
-    item.name = "obj-" + std::to_string(id);
-    item.content = std::move(content).value();
-    push.items.push_back(std::move(item));
+    auto item = ReadShared(id);
+    if (!item.ok()) continue;  // Deleted since the answer was served.
+    push.items.push_back(std::move(item).value());
   }
   if (push.items.empty()) return;
 
@@ -1182,43 +1134,42 @@ void BestPeerNode::PushHotReplicas(const std::vector<uint64_t>& ids) {
         }
       }
     }
-    if (obs::FlightRecorder* flight = transport_->flight()) {
-      obs::FlightEvent e;
-      e.ts = transport_->clock().now();
-      e.type = obs::EventType::kReplicaPush;
-      e.node = node_;
-      e.peer = peer;
-      e.a = push.items.size();
-      e.b = push.source_epoch;
-      flight->Record(e);
-    }
+    transport_->RecordFlight({.type = obs::EventType::kReplicaPush,
+                              .peer = peer,
+                              .a = push.items.size(),
+                              .b = push.source_epoch});
   }
 }
 
 void BestPeerNode::OnCacheReplicaPush(const net::Message& msg) {
-  // Replication is opt-in on the *receiver* too: without a manager the
-  // push is ignored, so a mixed fleet can't grow unmanaged copies.
-  if (replica_mgr_ == nullptr || storage_ == nullptr) return;
+  if (storage_ == nullptr) return;
   auto payload = DecodePayload(msg);
   if (!payload.ok()) return;
   auto push = CacheReplicaPushMessage::Decode(payload.value());
   if (!push.ok()) return;
+  // A hot push carries the pusher's IndexEpoch (never 0) and is leased;
+  // a §6 ReplicateObjects push carries 0 and is stored untracked. Leased
+  // replication is opt-in on the *receiver* too: without a manager the
+  // push is ignored, so a mixed fleet can't grow unmanaged copies.
+  const bool leased = push->source_epoch != 0;
+  if (leased && replica_mgr_ == nullptr) return;
   SimTime cost = config_.fetch_per_object_cost *
                  static_cast<SimTime>(push->items.size());
   auto items = std::make_shared<std::vector<ResultItem>>(
       std::move(push->items));
   int64_t ttl = push->ttl;
   NodeId source = msg.src;
-  transport_->RunCpu(cost, [this, items, ttl, source]() {
+  transport_->RunCpu(cost, [this, items, ttl, source, leased]() {
     for (const auto& item : *items) {
       if (storage_->Contains(item.id)) {
         // An object we own outright (the original, or a §6 replica)
         // must never be expired by a lease; only refresh leases on
         // copies this manager planted.
-        if (!replica_mgr_->Tracks(item.id)) continue;
+        if (!leased || !replica_mgr_->Tracks(item.id)) continue;
       } else {
         if (!storage_->Put(item.id, item.content).ok()) continue;
         ++replicas_stored_;
+        if (!leased) continue;
       }
       uint64_t generation = replica_mgr_->NoteStored(item.id, source);
       if (ttl > 0) {
@@ -1242,14 +1193,7 @@ void BestPeerNode::ExpireReplica(storm::ObjectId id, uint64_t generation) {
   // Tell the fleet (the pusher above all) that this lease ended, so the
   // next promotion re-places the object instead of assuming coverage.
   if (gossip_ != nullptr) gossip_->AnnounceLeaseExpire(id, generation);
-  if (obs::FlightRecorder* flight = transport_->flight()) {
-    obs::FlightEvent e;
-    e.ts = transport_->clock().now();
-    e.type = obs::EventType::kReplicaExpire;
-    e.node = node_;
-    e.a = id;
-    flight->Record(e);
-  }
+  transport_->RecordFlight({.type = obs::EventType::kReplicaExpire, .a = id});
 }
 
 void BestPeerNode::FetchObjects(NodeId responder, uint64_t query_id,
@@ -1271,16 +1215,12 @@ void BestPeerNode::OnFetchRequest(const net::Message& msg) {
   auto response = std::make_shared<FetchResponseMessage>();
   response->query_id = req->query_id;
   for (storm::ObjectId id : req->ids) {
-    auto content = storage_->Get(id);
+    auto item = ReadShared(id);
     // It is possible that the target node "may have removed the desired
     // content or updated it during the period of delay" (paper §2);
     // missing objects are simply skipped.
-    if (!content.ok()) continue;
-    ResultItem item;
-    item.id = id;
-    item.name = "obj-" + std::to_string(id);
-    item.content = std::move(content).value();
-    response->items.push_back(std::move(item));
+    if (!item.ok()) continue;
+    response->items.push_back(std::move(item).value());
   }
   SimTime cost = config_.fetch_per_object_cost *
                  static_cast<SimTime>(req->ids.size());
@@ -1412,15 +1352,8 @@ void BestPeerNode::ApplyPeerSet(
   if (changed) {
     ++reconfigurations_;
     reconfigurations_c_->Increment();
-    if (obs::FlightRecorder* flight = transport_->flight()) {
-      obs::FlightEvent e;
-      e.ts = transport_->clock().now();
-      e.type = obs::EventType::kReconfig;
-      e.node = node_;
-      e.a = adopted;
-      e.b = dropped;
-      flight->Record(e);
-    }
+    transport_->RecordFlight(
+        {.type = obs::EventType::kReconfig, .a = adopted, .b = dropped});
   }
 }
 

@@ -169,9 +169,10 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
 
   // --- replication (§6 future work) -----------------------------------------
 
-  /// Pushes replicas of the given local objects to every direct peer.
-  /// Receivers store the copies under the same global ids; sessions
-  /// deduplicate answers via QuerySession::unique_answers().
+  /// Pushes replicas of the given local objects to every direct peer, as
+  /// a lease-less replica push. Receivers keep the copies for good under
+  /// the same global ids; sessions deduplicate answers via
+  /// QuerySession::unique_answers().
   Status ReplicateObjects(const std::vector<storm::ObjectId>& ids);
 
   /// Replicas this node has accepted from peers.
@@ -200,8 +201,7 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   /// Cached slices dropped ahead of a probe by a gossiped epoch bump.
   uint64_t gossip_invalidations() const { return gossip_invalidations_; }
   /// Full replies received for a probed source whose epoch had moved —
-  /// the stale-probe round trips gossip exists to eliminate (counted
-  /// only when config.count_stale_probes).
+  /// the stale-probe round trips gossip exists to eliminate.
   uint64_t cache_stale_probes() const { return cache_stale_probes_; }
   /// Leases this node revoked because the pushing peer was lost.
   uint64_t leases_revoked() const {
@@ -299,9 +299,11 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   Status Init();
 
   uint64_t NextQueryId();
+  /// Opens the query's session and sends `agent` to every direct peer
+  /// not in `skip`.
   Result<uint64_t> LaunchAgent(agent::Agent& agent, uint64_t query_id,
                                const std::string& keyword, uint16_t ttl,
-                               const std::vector<NodeId>* skip = nullptr);
+                               const std::vector<NodeId>& skip);
 
   /// Arms the query_deadline timer for `query_id` (no-op when disabled).
   void ArmSessionDeadline(uint64_t query_id);
@@ -320,7 +322,8 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   void OnFetchResponse(const net::Message& msg);
   void OnDataShipRequest(const net::Message& msg);
   void OnDataShipResponse(const net::Message& msg);
-  void OnReplicatePush(const net::Message& msg);
+  /// Stores pushed copies: leased hot-answer replicas (tracked, expired
+  /// at their TTL, revoked with their pusher) or §6 copies (kept).
   void OnCacheReplicaPush(const net::Message& msg);
   /// Pushes the objects behind a hot answer to every direct peer.
   void PushHotReplicas(const std::vector<uint64_t>& ids);
@@ -367,6 +370,9 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   /// list becomes empty — or, with `below_capacity`, whenever there is
   /// room (used after health evictions, which rarely empty the list).
   void ReplenishPeersIfIsolated(bool below_capacity = false);
+
+  /// The shared object `id` as a result item (fails when not stored).
+  Result<ResultItem> ReadShared(storm::ObjectId id);
 
   /// `flow` tags the message with its query id for tracing (0 = none).
   void SendCompressed(NodeId dst, uint32_t type, const Bytes& payload,

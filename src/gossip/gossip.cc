@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/flight_recorder.h"
-
 namespace bestpeer::gossip {
 
 GossipAgent::GossipAgent(net::Transport* transport, GossipOptions options)
@@ -173,16 +171,10 @@ void GossipAgent::SendFrame(NodeId dst, GossipFrame frame) {
   frames_sent_++;
   frames_sent_c_->Increment();
   items_sent_c_->Add(frame.items.size());
-  if (auto* flight = transport_->flight()) {
-    obs::FlightEvent event;
-    event.ts = transport_->clock().now();
-    event.type = obs::EventType::kGossipSend;
-    event.node = node_;
-    event.peer = dst;
-    event.a = frame.items.size();
-    event.b = frame.round;
-    flight->Record(event);
-  }
+  transport_->RecordFlight({.type = obs::EventType::kGossipSend,
+                            .peer = dst,
+                            .a = frame.items.size(),
+                            .b = frame.round});
   transport_->Send(dst, kGossipMsgType, EncodeGossipFrame(frame));
 }
 
@@ -238,16 +230,10 @@ void GossipAgent::OnMessage(const net::Message& msg) {
     }
     items_applied_++;
     items_applied_c_->Increment();
-    if (auto* flight = transport_->flight()) {
-      obs::FlightEvent event;
-      event.ts = transport_->clock().now();
-      event.type = obs::EventType::kGossipApply;
-      event.node = node_;
-      event.peer = frame.sender;
-      event.a = item.origin;
-      event.b = item.version;
-      flight->Record(event);
-    }
+    transport_->RecordFlight({.type = obs::EventType::kGossipApply,
+                              .peer = frame.sender,
+                              .a = item.origin,
+                              .b = item.version});
     if (apply_hook_) apply_hook_(item);
   }
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "util/logging.h"
 
 namespace bestpeer::liglo {
@@ -67,16 +66,10 @@ void LigloClient::ArmTimeout(uint64_t id) {
       ++p.attempt;
       ++retries_;
       retries_c_->Increment();
-      if (obs::FlightRecorder* flight = transport_->flight()) {
-        obs::FlightEvent e;
-        e.ts = transport_->clock().now();
-        e.type = obs::EventType::kLigloRetry;
-        e.node = node_;
-        e.peer = p.server;
-        e.a = id;
-        e.b = p.attempt;
-        flight->Record(e);
-      }
+      transport_->RecordFlight({.type = obs::EventType::kLigloRetry,
+                                .peer = p.server,
+                                .a = id,
+                                .b = static_cast<uint64_t>(p.attempt)});
       SimTime delay = options_.retry_backoff * (SimTime{1} << (p.attempt - 1));
       if (options_.retry_jitter > 0) {
         const double spread =

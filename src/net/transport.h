@@ -8,13 +8,10 @@
 #include <vector>
 
 #include "net/message.h"
+#include "obs/flight_recorder.h"
 #include "util/ids.h"
 #include "util/sim_time.h"
 #include "util/trace.h"
-
-namespace bestpeer::obs {
-class FlightRecorder;
-}  // namespace bestpeer::obs
 
 namespace bestpeer::net {
 
@@ -109,6 +106,16 @@ class Transport {
 
   /// The active flight recorder, or nullptr when disabled.
   virtual obs::FlightRecorder* flight() const { return nullptr; }
+
+  /// Records `event` stamped with this endpoint's clock and address; a
+  /// no-op when the flight recorder is disabled.
+  void RecordFlight(obs::FlightEvent event) {
+    obs::FlightRecorder* recorder = flight();
+    if (recorder == nullptr) return;
+    event.ts = clock().now();
+    event.node = local();
+    recorder->Record(event);
+  }
 };
 
 }  // namespace bestpeer::net

@@ -112,7 +112,6 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
   config.metrics = &world.registry();
   config.enable_result_cache = options.enable_result_cache;
   config.result_cache_bytes = options.result_cache_bytes;
-  config.cache_lru_only = options.cache_lru_only;
   config.enable_replication = options.enable_replication;
   config.replica_hot_threshold = options.replica_hot_threshold;
   config.replica_top_k = options.replica_top_k;
@@ -128,7 +127,6 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
   config.gossip_seed = options.seed;
   config.qos_replica_placement = options.qos_replica_placement;
   config.replica_fanout = options.replica_fanout;
-  config.count_stale_probes = options.count_stale_probes;
   options.fault.ApplyTo(&config);
 
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;

@@ -91,7 +91,6 @@ struct ExperimentOptions {
   /// they map onto the matching BestPeerConfig fields).
   bool enable_result_cache = false;
   size_t result_cache_bytes = 256 * 1024;
-  bool cache_lru_only = false;
   bool enable_replication = false;
   uint32_t replica_hot_threshold = 3;
   size_t replica_top_k = 4;
@@ -108,10 +107,6 @@ struct ExperimentOptions {
   /// a direct-neighbor broadcast).
   bool qos_replica_placement = false;
   size_t replica_fanout = 2;
-
-  /// Count stale cache probes in core.cache_stale_probes (observational;
-  /// never affects scheduling).
-  bool count_stale_probes = false;
 
   /// Fault injection & recovery (shared knob block; defaults keep the
   /// fault machinery entirely out of the run — bit-identical schedules).

@@ -216,9 +216,7 @@ class AgentRuntimeTest : public ::testing::Test {
 
 TEST_F(AgentRuntimeTest, PropagatesAlongLineWithHops) {
   VisitAgent agent("t");
-  ASSERT_TRUE(
-      runtimes_[0]->Launch(1, agent, /*ttl=*/10, /*execute_locally=*/false)
-          .ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/10, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   // Origin (index 0) receives one report from each other node.
   auto& reports = reports_[0];
@@ -233,7 +231,7 @@ TEST_F(AgentRuntimeTest, PropagatesAlongLineWithHops) {
 
 TEST_F(AgentRuntimeTest, TtlLimitsReach) {
   VisitAgent agent("t");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/2, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/2, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   // TTL 2: reaches nodes 1 and 2 only.
   EXPECT_EQ(reports_[0].size(), 2u);
@@ -241,17 +239,10 @@ TEST_F(AgentRuntimeTest, TtlLimitsReach) {
 
 TEST_F(AgentRuntimeTest, TtlZeroNeverLeaves) {
   VisitAgent agent("t");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/0, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/0, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   EXPECT_TRUE(reports_[0].empty());
-}
-
-TEST_F(AgentRuntimeTest, ExecuteLocallyRunsAtOrigin) {
-  VisitAgent agent("t");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/1, true).ok());
-  sim_.RunUntilIdle();
-  // Local execution + node 1.
-  ASSERT_EQ(reports_[0].size(), 2u);
+  EXPECT_EQ(network_->total_wire_bytes(), 0u);
 }
 
 TEST_F(AgentRuntimeTest, DuplicateDropOnCycles) {
@@ -260,7 +251,7 @@ TEST_F(AgentRuntimeTest, DuplicateDropOnCycles) {
   neighbors_[1] = {ids_[0], ids_[2]};
   neighbors_[2] = {ids_[0], ids_[1]};
   VisitAgent agent("t");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/10, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/10, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   // Each of nodes 1 and 2 executes exactly once despite the cycle.
   EXPECT_EQ(reports_[0].size(), 2u);
@@ -286,7 +277,7 @@ TEST_F(AgentRuntimeTest, SeenTableExpiryForgetsOldAgents) {
   neighbors_[1] = {ids_[0], ids_[2]};
   neighbors_[2] = {ids_[0], ids_[1]};
   VisitAgent agent("t");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/10, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/10, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   // The cross-forwarded copies arrive after the 1 µs expiry, so instead
   // of duplicate drops (compare DuplicateDropOnCycles) both nodes have
@@ -299,12 +290,12 @@ TEST_F(AgentRuntimeTest, SeenTableExpiryForgetsOldAgents) {
 
 TEST_F(AgentRuntimeTest, CodeShippedOnlyOnFirstVisit) {
   VisitAgent agent("a");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 10, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 10, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   uint64_t bytes_first = network_->total_wire_bytes();
   // Second launch: classes are cached everywhere, so much less traffic.
   VisitAgent agent2("b");
-  ASSERT_TRUE(runtimes_[0]->Launch(2, agent2, 10, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(2, agent2, 10, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   uint64_t bytes_second = network_->total_wire_bytes() - bytes_first;
   EXPECT_LT(bytes_second, bytes_first / 2)
@@ -321,15 +312,14 @@ TEST_F(AgentRuntimeTest, UnregisteredClassFailsLaunch) {
   };
   StrangerAgent agent;
   EXPECT_TRUE(
-      runtimes_[0]->Launch(1, agent, 1, false).IsFailedPrecondition());
+      runtimes_[0]->Launch(1, agent, 1, neighbors_[0]).IsFailedPrecondition());
 }
 
-TEST_F(AgentRuntimeTest, LaunchToTargetsOnlySelectedNodes) {
+TEST_F(AgentRuntimeTest, LaunchTargetsOnlySelectedNodes) {
   VisitAgent agent("t");
   // Target only node 2 (skipping neighbour 1) with ttl 1: exactly one
   // execution, no onward cloning.
-  ASSERT_TRUE(
-      runtimes_[0]->LaunchTo(1, agent, /*ttl=*/1, {ids_[2]}).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, /*ttl=*/1, {ids_[2]}).ok());
   sim_.RunUntilIdle();
   ASSERT_EQ(reports_[0].size(), 1u);
   EXPECT_EQ(reports_[0][0].first, ids_[2]);
@@ -337,23 +327,17 @@ TEST_F(AgentRuntimeTest, LaunchToTargetsOnlySelectedNodes) {
   EXPECT_EQ(runtimes_[1]->agents_received(), 0u);
 }
 
-TEST_F(AgentRuntimeTest, LaunchToWithLargerTtlClonesOnward) {
+TEST_F(AgentRuntimeTest, LaunchWithLargerTtlClonesOnward) {
   VisitAgent agent("t");
   // Target node 1 with ttl 3: it forwards along the line to 2 and 3.
-  ASSERT_TRUE(runtimes_[0]->LaunchTo(1, agent, 3, {ids_[1]}).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 3, {ids_[1]}).ok());
   sim_.RunUntilIdle();
   EXPECT_EQ(reports_[0].size(), 3u);
 }
 
-TEST_F(AgentRuntimeTest, LaunchToRejectsZeroTtl) {
-  VisitAgent agent("t");
-  EXPECT_TRUE(
-      runtimes_[0]->LaunchTo(1, agent, 0, {ids_[1]}).IsInvalidArgument());
-}
-
 TEST_F(AgentRuntimeTest, StatsCountReceiptsAndExecutions) {
   VisitAgent agent("t");
-  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 10, false).ok());
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 10, neighbors_[0]).ok());
   sim_.RunUntilIdle();
   EXPECT_EQ(runtimes_[1]->agents_received(), 1u);
   EXPECT_EQ(runtimes_[1]->agents_executed(), 1u);

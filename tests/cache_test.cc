@@ -93,12 +93,11 @@ TEST(ResultCacheTest, StaleEpochIsDroppedNeverServed) {
   EXPECT_EQ(rc.bytes_used(), 0u);
 }
 
-TEST(ResultCacheTest, ByteBudgetEvictsLruWhenAdmissionDisabled) {
+TEST(ResultCacheTest, ByteBudgetEvictsLru) {
   ResultCacheOptions options;
   // Each slice accounts key(2) + 4 ids (32) + 64 overhead = 98 bytes, so
   // three entries fit a 300-byte budget and a fourth forces an eviction.
   options.byte_budget = 300;
-  options.lru_only = true;
   ResultCache rc(options);
   ASSERT_TRUE(rc.InsertSlice("q0", Slice(1, 1)));
   ASSERT_TRUE(rc.InsertSlice("q1", Slice(1, 1)));
@@ -106,6 +105,7 @@ TEST(ResultCacheTest, ByteBudgetEvictsLruWhenAdmissionDisabled) {
   EXPECT_EQ(rc.evictions(), 0u);
   ASSERT_NE(rc.SlicesFor("q0"), nullptr);  // Touch: q1 becomes the LRU.
 
+  rc.RecordAccess("q3");  // Hotter than the victim: TinyLFU admits it.
   ASSERT_TRUE(rc.InsertSlice("q3", Slice(1, 1)));
   EXPECT_EQ(rc.evictions(), 1u);
   EXPECT_LE(rc.bytes_used(), options.byte_budget);
@@ -135,21 +135,6 @@ TEST(ResultCacheTest, TinyLfuRejectsColdAdmitsHot) {
   EXPECT_EQ(rc.entry_count(), 3u);
   EXPECT_EQ(rc.evictions(), 1u);
   EXPECT_NE(rc.SlicesFor("q9"), nullptr);
-}
-
-TEST(ResultCacheTest, LruOnlyModeSkipsAdmission) {
-  ResultCacheOptions options;
-  options.byte_budget = 300;
-  options.lru_only = true;
-  ResultCache rc(options);
-  for (const char* key : {"q0", "q1", "q2"}) {
-    for (int i = 0; i < 3; ++i) rc.RecordAccess(key);
-    ASSERT_TRUE(rc.InsertSlice(key, Slice(1, 1)));
-  }
-  // Same cold insert as above: pure LRU lets it straight in.
-  EXPECT_TRUE(rc.InsertSlice("q9", Slice(1, 1)));
-  EXPECT_EQ(rc.admission_rejected(), 0u);
-  EXPECT_EQ(rc.evictions(), 1u);
 }
 
 TEST(ResultCacheTest, OversizeInsertIsRejected) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/node.h"
@@ -41,12 +42,51 @@ class ReplicationFixture : public ::testing::Test {
     }
   }
 
+  /// A receiver (node 0, built from `receiver`) linked to a pusher
+  /// (node 1) running the result cache and hot-answer replication with
+  /// every served answer hot. The pusher holds two "alpha" objects
+  /// (owner_ids_, for §6 replication) and two "needle" objects (hot_ids_,
+  /// pushed with a lease when node 0 searches for "needle").
+  void BuildPair(const BestPeerConfig& receiver) {
+    network_ =
+        std::make_unique<sim::SimNetwork>(&sim_, sim::NetworkOptions{});
+    fleet_ = std::make_unique<net::SimTransportFleet>(network_.get());
+    infra_ = std::make_unique<SharedInfra>();
+    BestPeerConfig pusher = LeasingConfig();
+    for (const BestPeerConfig& config : {receiver, pusher}) {
+      nodes_.push_back(
+          BestPeerNode::Create(fleet_->AddNode(), infra_.get(), config)
+              .value());
+      nodes_.back()->InitStorage({}).ok();
+    }
+    nodes_[0]->AddDirectPeerLocal(nodes_[1]->node());
+    nodes_[1]->AddDirectPeerLocal(nodes_[0]->node());
+    for (uint64_t m = 0; m < 4; ++m) {
+      std::string text = m < 2 ? "alpha replicated data" : "needle hot data";
+      text.resize(256, ' ');
+      const uint64_t id = (uint64_t{1} << 24) | m;
+      (m < 2 ? owner_ids_ : hot_ids_).push_back(id);
+      nodes_[1]->ShareObject(id, Bytes(text.begin(), text.end())).ok();
+    }
+  }
+
+  static BestPeerConfig LeasingConfig() {
+    BestPeerConfig config;
+    config.max_direct_peers = 4;
+    config.enable_result_cache = true;
+    config.enable_replication = true;
+    config.replica_hot_threshold = 1;  // Every served answer is hot.
+    config.replica_ttl = Seconds(10);
+    return config;
+  }
+
   sim::Simulator sim_;
   std::unique_ptr<sim::SimNetwork> network_;
   std::unique_ptr<net::SimTransportFleet> fleet_;
   std::unique_ptr<SharedInfra> infra_;
   std::vector<std::unique_ptr<BestPeerNode>> nodes_;
   std::vector<storm::ObjectId> owner_ids_;
+  std::vector<storm::ObjectId> hot_ids_;
 };
 
 TEST_F(ReplicationFixture, PushStoresCopiesAtPeers) {
@@ -117,6 +157,59 @@ TEST_F(ReplicationFixture, ReplicasAnswerCloserAndFaster) {
       << "replicas closer to the base must answer sooner";
   EXPECT_EQ(session->unique_answers(), 5u)
       << "replication must not change the unique answer set";
+}
+
+TEST_F(ReplicationFixture, LeasingReceiverKeepsCopiesPastTtlAndPusherLoss) {
+  BuildPair(LeasingConfig());
+  BestPeerNode& receiver = *nodes_[0];
+  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(receiver.IssueSearch("needle").ok());
+  sim_.RunUntil(Seconds(1));  // Pushes land; no lease has run out yet.
+  ASSERT_GE(nodes_[1]->replica_pushes(), 1u);
+  EXPECT_EQ(receiver.replicas_stored(), 4u);
+  EXPECT_EQ(receiver.replica_manager()->replica_count(), 2u)
+      << "only the hot push is leased";
+  for (storm::ObjectId id : hot_ids_) {
+    EXPECT_TRUE(receiver.replica_manager()->Tracks(id));
+  }
+
+  // The pusher goes away: its leased copies are revoked, the §6 copies
+  // stay — through the lease TTL too, which has elapsed once idle.
+  network_->Send(nodes_[1]->node(), receiver.node(), kPeerDisconnectType,
+                 Bytes{});
+  sim_.RunUntilIdle();
+  EXPECT_GE(sim_.now(), LeasingConfig().replica_ttl);
+  EXPECT_EQ(receiver.leases_revoked(), 2u);
+  EXPECT_EQ(receiver.replicas_expired(), 0u);
+  for (storm::ObjectId id : hot_ids_) {
+    EXPECT_FALSE(receiver.storage()->Contains(id));
+  }
+  for (storm::ObjectId id : owner_ids_) {
+    EXPECT_TRUE(receiver.storage()->Contains(id));
+  }
+}
+
+TEST_F(ReplicationFixture, ReceiverWithoutManagerKeepsOnlyLeaselessCopies) {
+  BestPeerConfig receiver_config;
+  receiver_config.max_direct_peers = 4;
+  // The cache arms the probe that lets the pusher's answers go hot; no
+  // replication means no ReplicaManager at the receiver.
+  receiver_config.enable_result_cache = true;
+  BuildPair(receiver_config);
+  BestPeerNode& receiver = *nodes_[0];
+  ASSERT_EQ(receiver.replica_manager(), nullptr);
+  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(receiver.IssueSearch("needle").ok());
+  sim_.RunUntilIdle();
+  ASSERT_GE(nodes_[1]->replica_pushes(), 1u);
+  EXPECT_EQ(receiver.replicas_stored(), 2u);
+  for (storm::ObjectId id : owner_ids_) {
+    EXPECT_TRUE(receiver.storage()->Contains(id));
+  }
+  for (storm::ObjectId id : hot_ids_) {
+    EXPECT_FALSE(receiver.storage()->Contains(id))
+        << "a leased push needs a manager at the receiver";
+  }
 }
 
 }  // namespace

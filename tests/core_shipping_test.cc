@@ -152,6 +152,22 @@ TEST_F(ShippingFixture, AlwaysDataPullsStoresAndFindsMatches) {
   EXPECT_EQ(nodes_[0]->StoreSizeHint(nodes_[2]->node()), 8u);
 }
 
+TEST_F(ShippingFixture, DataAndCodeShippingSpeakTheSameQueryLanguage) {
+  Build({0, 5, 8});
+  // Both strategies evaluate the StorM query language: AND-ed terms, OR
+  // branches, case-insensitive whole tokens. One match per peer store.
+  for (const char* query :
+       {"needle", "text needle", "needle OR zzz", "NEEDLE"}) {
+    for (ShippingMode mode :
+         {ShippingMode::kAlwaysData, ShippingMode::kAlwaysCode}) {
+      uint64_t qid = nodes_[0]->IssueDirectSearch(query, mode).value();
+      sim_.RunUntilIdle();
+      EXPECT_EQ(nodes_[0]->FindSession(qid)->total_indicated(), 2u)
+          << '"' << query << "\" by " << ShippingModeName(mode);
+    }
+  }
+}
+
 TEST_F(ShippingFixture, AlwaysCodeUsesAgents) {
   Build({0, 5, 8});
   uint64_t qid = nodes_[0]

@@ -189,7 +189,7 @@ TEST_F(EdgeFixture, GarbagePayloadsDoNotCrashHandlers) {
        {core::kSearchResultType, core::kFetchReqType, core::kFetchRespType,
         core::kActiveObjReqType, core::kActiveObjRespType,
         core::kDataShipReqType, core::kDataShipRespType,
-        core::kReplicatePushType, core::kWatchReqType,
+        core::kCacheReplicaPushType, core::kWatchReqType,
         core::kUpdateNotifyType, agent::kAgentTransferType}) {
     network_->Send(a->node(), b->node(), type, Bytes{0xFF, 0x00, 0xAB});
   }

@@ -434,7 +434,6 @@ BestPeerConfig GossipCacheConfig(bool gossip) {
   BestPeerConfig config;
   config.max_direct_peers = 4;
   config.enable_result_cache = true;
-  config.count_stale_probes = true;
   config.enable_gossip = gossip;
   return config;
 }
@@ -516,7 +515,6 @@ TEST(GossipWorkloadTest, GossipOffScheduleIsBitIdentical) {
   cranked.enable_gossip = false;
   cranked.gossip_fanout = 7;
   cranked.gossip_interval = Millis(1);
-  cranked.count_stale_probes = true;  // Observational; must not perturb.
   auto cranked_result = RunExperiment(cranked);
   ASSERT_TRUE(cranked_result.ok()) << cranked_result.status().ToString();
 
@@ -538,7 +536,6 @@ TEST(GossipWorkloadTest, GossipOffScheduleIsBitIdentical) {
 /// gossip-off run exactly, while the stale-probe round trips disappear.
 TEST(GossipWorkloadTest, GossipOnKeepsAnswersAndKillsStaleProbes) {
   ExperimentOptions off = MutatingZipfWorkload();
-  off.count_stale_probes = true;
   auto off_result = RunExperiment(off);
   ASSERT_TRUE(off_result.ok()) << off_result.status().ToString();
 
