@@ -1,14 +1,17 @@
 // Micro-benchmarks of the StorM storage manager: object put/get, the
 // full-scan keyword search path (what every simulated node executes per
-// query), and buffer-pool behaviour under each replacement policy.
+// query), the page checksum every pager read and write-back pays, and
+// buffer-pool behaviour under each replacement policy.
 
 #include <benchmark/benchmark.h>
 
+#include "storm/page.h"
 #include "storm/storm.h"
 #include "workload/corpus.h"
 
 namespace {
 
+using bestpeer::storm::Page;
 using bestpeer::storm::Storm;
 using bestpeer::storm::StormOptions;
 
@@ -69,6 +72,25 @@ void BM_StormScanSearch1000(benchmark::State& state) {
                                     storm->buffer_pool().misses());
 }
 BENCHMARK(BM_StormScanSearch1000)->Arg(32)->Arg(128)->Arg(512);
+
+// One formatted 4 KiB page holding three 1 KB corpus objects, the shape
+// a 1000 x 1 KB store's pages have.
+void BM_PageChecksum(benchmark::State& state) {
+  Page page;
+  page.Init(1);
+  bestpeer::workload::CorpusGenerator corpus({1024, 500, 0.8}, 11);
+  for (int i = 0; i < 3; ++i) {
+    auto content = corpus.MakeObject(false);
+    page.Insert(content.data(), static_cast<uint16_t>(content.size())).ok();
+  }
+  page.UpdateChecksum();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page.VerifyChecksum());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(Page::kPageSize));
+}
+BENCHMARK(BM_PageChecksum);
 
 void BM_StormIndexSearch(benchmark::State& state) {
   StormOptions options;

@@ -2,8 +2,8 @@
 #define BESTPEER_AGENT_AGENT_RUNTIME_H_
 
 #include <functional>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "agent/agent.h"
@@ -113,7 +113,7 @@ class AgentRuntime {
   AgentRuntimeOptions options_;
 
   /// agent id -> when it was last sighted (for expiry).
-  std::map<uint64_t, SimTime> seen_;
+  std::unordered_map<uint64_t, SimTime> seen_;
   uint64_t agents_received_ = 0;
   uint64_t duplicates_dropped_ = 0;
   uint64_t agents_executed_ = 0;

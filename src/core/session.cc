@@ -5,6 +5,13 @@
 
 namespace bestpeer::core {
 
+size_t QuerySession::unique_answers() const {
+  std::vector<uint64_t> ids = reported_ids_;
+  std::sort(ids.begin(), ids.end());
+  return static_cast<size_t>(std::unique(ids.begin(), ids.end()) -
+                             ids.begin());
+}
+
 size_t QuerySession::total_answers() const {
   const auto& events = mode_ == AnswerMode::kIndicate ? fetches_ : responses_;
   size_t n = 0;

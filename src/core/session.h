@@ -2,7 +2,6 @@
 #define BESTPEER_CORE_SESSION_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -45,12 +44,13 @@ class QuerySession {
   void RecordResultWithIds(const ResponseEvent& event,
                            const std::vector<uint64_t>& object_ids) {
     responses_.push_back(event);
-    for (uint64_t id : object_ids) unique_objects_.insert(id);
+    reported_ids_.insert(reported_ids_.end(), object_ids.begin(),
+                         object_ids.end());
   }
 
   /// Distinct objects reported across all responses (replicas of one
   /// object count once). Zero when responders did not report ids.
-  size_t unique_answers() const { return unique_objects_.size(); }
+  size_t unique_answers() const;
 
   /// Records a completed mode-2 content fetch.
   void RecordFetch(const ResponseEvent& event) { fetches_.push_back(event); }
@@ -93,7 +93,10 @@ class QuerySession {
   SimTime start_time_ = 0;
   std::vector<ResponseEvent> responses_;
   std::vector<ResponseEvent> fetches_;
-  std::set<uint64_t> unique_objects_;
+  /// Every reported object id, duplicates included: 8 bytes an answer
+  /// for the life of the session, which stays open while late results
+  /// can still arrive.
+  std::vector<uint64_t> reported_ids_;
   bool finalized_ = false;
 };
 

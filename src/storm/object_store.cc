@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace bestpeer::storm {
 
@@ -19,6 +20,13 @@ RecordHeader ParseHeader(const uint8_t* data) {
   std::memcpy(&h.chunk, data + 8, 2);
   std::memcpy(&h.nchunks, data + 10, 2);
   return h;
+}
+
+/// The object bytes of a chunk record (everything after its header).
+std::string_view RecordData(std::pair<const uint8_t*, uint16_t> rec) {
+  return std::string_view(
+      reinterpret_cast<const char*>(rec.first) + ObjectStore::kRecordHeaderSize,
+      rec.second - ObjectStore::kRecordHeaderSize);
 }
 
 Bytes MakeRecord(ObjectId id, uint16_t chunk, uint16_t nchunks,
@@ -160,8 +168,8 @@ Result<Bytes> ObjectStore::Get(ObjectId id) {
     BP_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(loc.page));
     auto rec = guard.page()->Read(loc.slot);
     if (!rec.ok()) return rec.status();
-    out.insert(out.end(), rec->first + kRecordHeaderSize,
-               rec->first + rec->second);
+    const std::string_view data = RecordData(rec.value());
+    out.insert(out.end(), data.begin(), data.end());
   }
   return out;
 }
@@ -194,10 +202,24 @@ std::vector<ObjectId> ObjectStore::ListIds() const {
 }
 
 Status ObjectStore::ForEach(
-    const std::function<Status(ObjectId, const Bytes&)>& fn) {
+    const std::function<Status(ObjectId, std::string_view)>& fn) {
+  std::string joined;  // Multi-chunk objects, reused across the scan.
   for (const auto& [id, locs] : directory_) {
-    BP_ASSIGN_OR_RETURN(Bytes data, Get(id));
-    BP_RETURN_IF_ERROR(fn(id, data));
+    if (locs.size() == 1) {
+      BP_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(locs[0].page));
+      auto rec = guard.page()->Read(locs[0].slot);
+      if (!rec.ok()) return rec.status();
+      BP_RETURN_IF_ERROR(fn(id, RecordData(rec.value())));
+      continue;
+    }
+    joined.clear();
+    for (const Loc& loc : locs) {
+      BP_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(loc.page));
+      auto rec = guard.page()->Read(loc.slot);
+      if (!rec.ok()) return rec.status();
+      joined += RecordData(rec.value());
+    }
+    BP_RETURN_IF_ERROR(fn(id, joined));
   }
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "storm/buffer_pool.h"
@@ -52,8 +53,14 @@ class ObjectStore {
   /// All object ids in ascending order.
   std::vector<ObjectId> ListIds() const;
 
-  /// Invokes `fn` for every object (ascending id); stops on error.
-  Status ForEach(const std::function<Status(ObjectId, const Bytes&)>& fn);
+  /// Invokes `fn` with every object's content (ascending id); stops on
+  /// error. Fetches one page per chunk record, in chunk order, as Get()
+  /// does. The view points into the pinned page for a one-chunk object
+  /// and into a scan-local buffer otherwise: it is valid only during the
+  /// call, and `fn` must not mutate the store (a Put may compact the
+  /// pinned page).
+  Status ForEach(
+      const std::function<Status(ObjectId, std::string_view)>& fn);
 
  private:
   struct Loc {

@@ -17,7 +17,8 @@ namespace bestpeer::storm {
 ///   [8..10)   slot count
 ///   [10..12)  free-space offset (start of unused region)
 ///   [12..16)  reserved
-///   [16..24)  checksum (FNV-1a over the rest of the page)
+///   [16..24)  checksum (four-lane 8-byte-word hash over the rest of
+///             the page; see ComputeChecksum)
 ///   [24..free_off)            record data, append-only until Compact()
 ///   [4096-4*nslots..4096)     slot directory, growing downwards;
 ///                             each slot is {offset:u16, len:u16};

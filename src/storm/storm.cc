@@ -27,8 +27,8 @@ Result<std::unique_ptr<Storm>> Storm::Open(const StormOptions& options) {
   BP_ASSIGN_OR_RETURN(storm->objects_, ObjectStore::Open(storm->pool_.get()));
   if (options.build_index) {
     BP_RETURN_IF_ERROR(storm->objects_->ForEach(
-        [&storm](ObjectId id, const Bytes& data) {
-          storm->index_.Add(id, ToString(data));
+        [&storm](ObjectId id, std::string_view data) {
+          storm->index_.Add(id, data);
           return Status::OK();
         }));
   }
@@ -165,9 +165,9 @@ Result<Storm::ScanResult> Storm::ScanSearch(std::string_view query) {
 
   ScanResult result;
   BP_RETURN_IF_ERROR(
-      objects_->ForEach([&result, &expr](ObjectId id, const Bytes& data) {
+      objects_->ForEach([&result, &expr](ObjectId id, std::string_view data) {
         ++result.objects_scanned;
-        if (expr.Matches(ToString(data))) {
+        if (expr.Matches(data)) {
           result.matches.push_back(id);
         }
         return Status::OK();

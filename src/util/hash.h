@@ -6,8 +6,9 @@
 
 namespace bestpeer {
 
-/// FNV-1a 64-bit hash over arbitrary bytes. Used for checksums on StorM
-/// pages and for hashing keywords into the inverted index.
+/// FNV-1a 64-bit hash over arbitrary bytes. Used for StorM WAL record
+/// checksums and for hashing keys in the result cache and the content
+/// summaries (StorM pages have their own word-wise checksum).
 uint64_t Fnv1a64(const void* data, size_t len);
 
 /// FNV-1a over a string.

@@ -120,8 +120,12 @@ TEST(IndexSearchTest, DisabledIndexFailsPrecondition) {
 // epoch. This is the contract that lets the agent path switch between
 // the two without changing answers.
 TEST(IndexSearchTest, EquivalentToScanAcrossRandomMutations) {
-  const std::vector<std::string> vocab = {"alpha", "beta",  "gamma", "delta",
-                                          "omega", "sigma", "kappa", "zeta"};
+  // The last three are not single tokens (separator bytes, UTF-8), so
+  // neither path may match them.
+  const std::vector<std::string> vocab = {
+      "alpha", "beta",  "gamma", "delta", "omega",
+      "sigma", "kappa", "zeta",  "c++",   "state-of-the-art",
+      "caf\xC3\xA9"};
   Rng rng(20260807);
   auto storm = Storm::Open({}).value();
 

@@ -113,10 +113,26 @@ TEST(PageTest, ChecksumDetectsCorruption) {
   page.Init(1);
   Bytes rec = Rec("checksummed");
   page.Insert(rec.data(), rec.size()).value();
+  bestpeer::Rng rng(17);
+  for (int i = 0; i < 2; ++i) {
+    Bytes filler(1500);
+    for (auto& b : filler) b = static_cast<uint8_t>(rng.NextBounded(256));
+    page.Insert(filler.data(), filler.size()).value();
+  }
   page.UpdateChecksum();
   EXPECT_TRUE(page.VerifyChecksum());
-  page.raw()[100] ^= 0xFF;
-  EXPECT_FALSE(page.VerifyChecksum());
+  // Any single-byte change outside the checksum field [16, 24) fails
+  // verification: header, records, free space and slot directory.
+  for (size_t off = 0; off < Page::kPageSize; ++off) {
+    if (off >= 16 && off < 24) continue;
+    for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+      page.raw()[off] ^= mask;
+      EXPECT_FALSE(page.VerifyChecksum())
+          << "offset " << off << " mask " << static_cast<int>(mask);
+      page.raw()[off] ^= mask;
+    }
+  }
+  EXPECT_TRUE(page.VerifyChecksum());
 }
 
 TEST(PageTest, FreeSpaceAccountsForSlotEntry) {

@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "storm/object_store.h"
 #include "storm/storm.h"
@@ -78,6 +81,32 @@ TEST(ObjectStoreTest, LargeObjectSpansChunks) {
   EXPECT_EQ(store->Get(9).value(), big);
   ASSERT_TRUE(store->Delete(9).ok());
   EXPECT_FALSE(store->Contains(9));
+}
+
+TEST(ObjectStoreTest, ForEachViewEqualsGet) {
+  MemPager pager;
+  std::unique_ptr<BufferPool> pool;
+  BufferPool* raw;
+  auto store = MakeStore(&pager, &raw, &pool);
+  Rng rng(3);
+  Bytes three_chunks(8000);
+  for (auto& b : three_chunks) b = static_cast<uint8_t>(rng.NextBounded(256));
+  ASSERT_TRUE(store->Put(1, Content("one chunk")).ok());
+  ASSERT_TRUE(store->Put(2, three_chunks).ok());
+  ASSERT_TRUE(store->Put(3, Bytes{}).ok());
+  std::vector<std::pair<ObjectId, Bytes>> seen;
+  ASSERT_TRUE(store
+                  ->ForEach([&seen](ObjectId id, std::string_view data) {
+                    seen.emplace_back(id, Bytes(data.begin(), data.end()));
+                    return Status::OK();
+                  })
+                  .ok());
+  ASSERT_EQ(seen.size(), 3u);
+  for (size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].first, i + 1);  // Ascending id order.
+    EXPECT_EQ(seen[i].second, store->Get(seen[i].first).value())
+        << "object " << seen[i].first;
+  }
 }
 
 TEST(ObjectStoreTest, ListIdsSorted) {
@@ -217,6 +246,48 @@ TEST(StormTest, FilePagerDetectsCorruption) {
   EXPECT_TRUE(storm.status().IsCorruption());
 }
 
+TEST(StormTest, ScanVerifiesPagesReadBackFromFile) {
+  TempFile file("storm_scan_corrupt");
+  StormOptions options;
+  options.path = file.path();
+  options.buffer_frames = 2;
+  options.build_index = false;
+  auto storm = Storm::Open(options).value();
+  // Twelve 1 KB objects fill four pages, three a page; the 2-frame pool
+  // writes the first pages to the file as it evicts them.
+  for (ObjectId id = 0; id < 12; ++id) {
+    ASSERT_TRUE(storm->Put(id, Bytes(1024, ' ')).ok());
+  }
+  ASSERT_EQ(storm->buffer_pool().pager()->page_count(), 4u);
+  ASSERT_TRUE(storm->Flush().ok());
+  ASSERT_TRUE(storm->ScanSearch("needle").ok());
+  // Page 0 is evicted again by the end of the scan; corrupt its copy in
+  // the file so the next scan must read and verify it.
+  {
+    std::FILE* f = std::fopen(file.path().c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 100, SEEK_SET);
+    int c = std::fgetc(f);
+    std::fseek(f, 100, SEEK_SET);
+    std::fputc(c ^ 0x01, f);
+    std::fclose(f);
+  }
+  auto scan = storm->ScanSearch("needle");
+  EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
+}
+
+TEST(StormTest, ScanFindsKeywordAcrossChunkBoundary) {
+  auto storm = Storm::Open({}).value();
+  std::string text(8000, ' ');
+  // "needle" covers bytes 3497..3502, across the first chunk boundary.
+  text.replace(ObjectStore::kChunkDataSize - 3, 6, "needle");
+  ASSERT_TRUE(storm->Put(4, Content(text)).ok());
+  ASSERT_TRUE(storm->Put(5, Content("no match here")).ok());
+  auto scan = storm->ScanSearch("needle");
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->matches, (std::vector<ObjectId>{4}));
+}
+
 TEST(StormTest, UpdateReplacesContentAndIndex) {
   auto storm = Storm::Open({}).value();
   ASSERT_TRUE(storm->Put(1, Content("needle old")).ok());
@@ -325,6 +396,26 @@ TEST(StormTest, ThousandObjectWorkload) {
   EXPECT_EQ(scan.matches.size(), 10u);
   EXPECT_GT(storm->buffer_pool().evictions(), 0u)
       << "workload must exceed the buffer pool";
+}
+
+TEST(StormTest, ScanFetchesOnePagePerChunkRecord) {
+  // The paper's 1000 x 1 KB store over a 128-frame pool it overflows.
+  StormOptions options;
+  options.buffer_frames = 128;
+  options.build_index = false;
+  auto storm = Storm::Open(options).value();
+  for (ObjectId id = 0; id < 1000; ++id) {
+    ASSERT_TRUE(storm->Put(id, Bytes(1024, 'x')).ok());
+  }
+  BufferPool& pool = storm->buffer_pool();
+  const PageId pages = pool.pager()->page_count();
+  EXPECT_EQ(pages, 334u);  // Three 1 KB chunk records a page.
+  const uint64_t accesses = pool.hits() + pool.misses();
+  const uint64_t misses = pool.misses();
+  ASSERT_TRUE(storm->ScanSearch("needle").ok());
+  // One fetch per chunk record, in id order: each page misses once.
+  EXPECT_EQ(pool.hits() + pool.misses() - accesses, 1000u);
+  EXPECT_EQ(pool.misses() - misses, pages);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "util/bytes.h"
@@ -332,6 +333,65 @@ TEST(StringsTest, ContainsKeywordWholeTokenOnly) {
   EXPECT_FALSE(ContainsKeyword("pineedle", "needle"));
   EXPECT_FALSE(ContainsKeyword("", "needle"));
   EXPECT_FALSE(ContainsKeyword("anything", ""));
+  // A keyword with a separator byte is never a token.
+  EXPECT_FALSE(ContainsKeyword("I like c++ a lot", "c++"));
+  EXPECT_TRUE(ContainsKeyword("I like c++ a lot", "C"));
+  EXPECT_FALSE(ContainsKeyword("state-of-the-art p2p", "state-of-the-art"));
+  EXPECT_FALSE(ContainsKeyword("caf\xC3\xA9 au lait", "caf\xC3\xA9"));
+  EXPECT_TRUE(ContainsKeyword("caf\xC3\xA9 au lait", "caf"));
+}
+
+// Property: the scan's matcher and the index's tokenizer agree, i.e.
+// ContainsKeyword(t, k) == (ToLower(k) is one of TokenizeKeywords(t)),
+// over texts and keywords of both cases, digits, punctuation, spaces and
+// bytes >= 0x80, with keywords planted at the start, at the end and
+// next to word characters.
+TEST(StringsTest, ContainsKeywordIsTokenMembership) {
+  const std::string word_bytes = "aAbBzZ09";
+  const std::string all_bytes = word_bytes + " .,-+_\t\x7F\x80\xC3\xA9\xFF";
+  Rng rng(20261017);
+  auto draw = [&rng](const std::string& from, size_t min_len,
+                     size_t max_len) {
+    std::string s(min_len + rng.NextBounded(max_len - min_len + 1), ' ');
+    for (char& c : s) c = from[rng.NextBounded(from.size())];
+    return s;
+  };
+  auto random_case = [&rng](std::string s) {
+    for (char& c : s) {
+      const bool letter = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+      if (letter && rng.NextBool()) c = static_cast<char>(c ^ 0x20);
+    }
+    return s;
+  };
+  size_t found = 0;
+  constexpr int kPairs = 20000;
+  for (int i = 0; i < kPairs; ++i) {
+    const std::string keyword = rng.NextBounded(4) == 0
+                                    ? draw(all_bytes, 0, 4)
+                                    : draw(word_bytes, 1, 4);
+    const std::string planted = random_case(keyword);
+    const std::string head = draw(all_bytes, 0, 12);
+    const std::string tail = draw(all_bytes, 0, 12);
+    const std::string word(1, word_bytes[rng.NextBounded(word_bytes.size())]);
+    std::string text;
+    switch (rng.NextBounded(6)) {
+      case 0: text = planted + tail; break;
+      case 1: text = head + planted; break;
+      case 2: text = head + planted + tail; break;
+      case 3: text = head + word + planted + tail; break;
+      case 4: text = head + planted + word + tail; break;
+      default: text = head + tail; break;
+    }
+    const std::vector<std::string> tokens = TokenizeKeywords(text);
+    const bool is_token = std::find(tokens.begin(), tokens.end(),
+                                    ToLower(keyword)) != tokens.end();
+    ASSERT_EQ(ContainsKeyword(text, keyword), is_token)
+        << "text \"" << text << "\" keyword \"" << keyword << "\"";
+    found += is_token ? 1 : 0;
+  }
+  // Both outcomes are well represented, so the identity is not vacuous.
+  EXPECT_GT(found, kPairs / 5u);
+  EXPECT_LT(found, kPairs * 4u / 5u);
 }
 
 TEST(StringsTest, ContainsKeywordAtBoundaries) {
