@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "util/status.h"
+#include "workload/corpus.h"
 
 namespace bestpeer::scenario {
 
@@ -359,6 +360,13 @@ Result<ScenarioSpec> ParseScenario(const obs::JsonValue& root) {
   }
   if (spec.query_pool == 0) return r.Err("query_pool must be >= 1");
   if (spec.object_size == 0) return r.Err("object_size must be >= 1");
+  const size_t pool_bytes =
+      workload::CorpusGenerator::PoolBytes(spec.query_pool);
+  if (pool_bytes > spec.object_size) {
+    return r.Err("query_pool " + std::to_string(spec.query_pool) +
+                 " needs object_size >= " + std::to_string(pool_bytes) +
+                 ", got " + std::to_string(spec.object_size));
+  }
   if (spec.ttl == 0) return r.Err("ttl must be >= 1");
   if (spec.max_direct_peers == 0) {
     return r.Err("max_direct_peers must be >= 1");

@@ -90,7 +90,8 @@ struct ScenarioSpec {
   std::string name;
   uint64_t seed = 42;
   TopologySpec topology;
-  /// Pooled query keywords "needle0".."needle<pool-1>", drawn Zipf-skewed.
+  /// Pooled query keywords "needle0".."needle<pool-1>", drawn Zipf-skewed;
+  /// together they must fit in object_size (CorpusGenerator::PoolBytes).
   size_t query_pool = 8;
   double query_zipf_skew = 1.1;
   size_t object_size = 512;

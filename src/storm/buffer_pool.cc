@@ -65,6 +65,7 @@ Result<FrameId> BufferPool::AcquireFrame() {
   if (!free_frames_.empty()) {
     FrameId f = free_frames_.back();
     free_frames_.pop_back();
+    if (frames_[f].page == nullptr) frames_[f].page = std::make_unique<Page>();
     return f;
   }
   std::optional<FrameId> victim = policy_->ChooseVictim();
@@ -74,7 +75,7 @@ Result<FrameId> BufferPool::AcquireFrame() {
   Frame& frame = frames_[*victim];
   assert(frame.in_use && frame.pins == 0);
   if (frame.dirty) {
-    BP_RETURN_IF_ERROR(pager_->Write(frame.page_id, frame.page));
+    BP_RETURN_IF_ERROR(pager_->Write(frame.page_id, *frame.page));
     ++writebacks_;
     writebacks_c_->Increment();
   }
@@ -94,13 +95,13 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
     ++frame.pins;
     ++hits_;
     hits_c_->Increment();
-    return PageGuard(this, id, &frame.page);
+    return PageGuard(this, id, frame.page.get());
   }
   ++misses_;
   misses_c_->Increment();
   BP_ASSIGN_OR_RETURN(FrameId f, AcquireFrame());
   Frame& frame = frames_[f];
-  Status s = pager_->Read(id, &frame.page);
+  Status s = pager_->Read(id, frame.page.get());
   if (!s.ok()) {
     free_frames_.push_back(f);
     return s;
@@ -110,20 +111,20 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
   frame.dirty = false;
   frame.pins = 1;
   page_table_[id] = f;
-  return PageGuard(this, id, &frame.page);
+  return PageGuard(this, id, frame.page.get());
 }
 
 Result<PageGuard> BufferPool::New() {
   BP_ASSIGN_OR_RETURN(PageId id, pager_->Allocate());
   BP_ASSIGN_OR_RETURN(FrameId f, AcquireFrame());
   Frame& frame = frames_[f];
-  frame.page.Init(id);
+  frame.page->Init(id);
   frame.page_id = id;
   frame.in_use = true;
   frame.dirty = true;
   frame.pins = 1;
   page_table_[id] = f;
-  return PageGuard(this, id, &frame.page);
+  return PageGuard(this, id, frame.page.get());
 }
 
 void BufferPool::Unpin(PageId id, bool dirty) {
@@ -140,7 +141,7 @@ void BufferPool::Unpin(PageId id, bool dirty) {
 Status BufferPool::FlushAll() {
   for (auto& frame : frames_) {
     if (frame.in_use && frame.dirty) {
-      BP_RETURN_IF_ERROR(pager_->Write(frame.page_id, frame.page));
+      BP_RETURN_IF_ERROR(pager_->Write(frame.page_id, *frame.page));
       frame.dirty = false;
       ++writebacks_;
       writebacks_c_->Increment();

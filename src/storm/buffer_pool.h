@@ -103,13 +103,15 @@ class BufferPool {
     bool in_use = false;
     bool dirty = false;
     int pins = 0;
-    Page page;
+    /// Allocated (zeroed) the first time the frame leaves the free list,
+    /// so a pool costs memory only for the frames its store reaches.
+    std::unique_ptr<Page> page;
   };
 
   BufferPool(Pager* pager, std::unique_ptr<ReplacementPolicy> policy,
              const BufferPoolOptions& options);
 
-  /// Finds a free frame, evicting if necessary.
+  /// Finds a free frame, evicting if necessary; its page is allocated.
   Result<FrameId> AcquireFrame();
 
   Pager* pager_;

@@ -76,7 +76,7 @@ Status ObjectStore::ScanExisting() {
       }
       locs[h.chunk] = Loc{pid, slot};
     }
-    free_space_[pid] = page->FreeSpace() + page->FragmentedSpace();
+    SetFreeSpace(pid, page->FreeSpace() + page->FragmentedSpace());
   }
   // Validate that every object has all chunks present.
   for (const auto& [id, locs] : directory_) {
@@ -90,9 +90,15 @@ Status ObjectStore::ScanExisting() {
   return Status::OK();
 }
 
+void ObjectStore::SetFreeSpace(PageId pid, size_t bytes) {
+  if (pid >= free_space_.size()) free_space_.resize(pid + 1, 0);
+  free_space_[pid] = bytes;
+}
+
 Result<ObjectStore::Loc> ObjectStore::InsertRecord(const Bytes& record) {
   // First fit over pages believed to have room.
-  for (auto& [pid, avail] : free_space_) {
+  for (PageId pid = 0; pid < free_space_.size(); ++pid) {
+    size_t& avail = free_space_[pid];
     if (avail < record.size() + Page::kSlotEntrySize) continue;
     BP_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(pid));
     Page* page = guard.page();
@@ -118,7 +124,7 @@ Result<ObjectStore::Loc> ObjectStore::InsertRecord(const Bytes& record) {
       uint16_t slot,
       page->Insert(record.data(), static_cast<uint16_t>(record.size())));
   guard.MarkDirty();
-  free_space_[guard.id()] = page->FreeSpace();
+  SetFreeSpace(guard.id(), page->FreeSpace());
   return Loc{guard.id(), slot};
 }
 
@@ -183,8 +189,8 @@ Status ObjectStore::Delete(ObjectId id) {
     BP_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(loc.page));
     BP_RETURN_IF_ERROR(guard.page()->Delete(loc.slot));
     guard.MarkDirty();
-    free_space_[loc.page] =
-        guard.page()->FreeSpace() + guard.page()->FragmentedSpace();
+    SetFreeSpace(loc.page,
+                 guard.page()->FreeSpace() + guard.page()->FragmentedSpace());
   }
   directory_.erase(it);
   return Status::OK();

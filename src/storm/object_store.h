@@ -72,14 +72,19 @@ class ObjectStore {
 
   Status ScanExisting();
 
-  /// Inserts one chunk record, finding or allocating a page with space.
+  /// Inserts one chunk record into the first page, in page order, whose
+  /// free-space estimate fits it, or into a newly allocated page.
   Result<Loc> InsertRecord(const Bytes& record);
+
+  /// Records page `pid`'s free-space estimate.
+  void SetFreeSpace(PageId pid, size_t bytes);
 
   BufferPool* pool_;
   /// object id -> chunk locations in chunk order.
   std::map<ObjectId, std::vector<Loc>> directory_;
-  /// Approximate free bytes per data page (heuristic allocator state).
-  std::map<PageId, size_t> free_space_;
+  /// Approximate free bytes per data page, indexed by page id
+  /// (heuristic allocator state); 0 for a page the store never formatted.
+  std::vector<size_t> free_space_;
 };
 
 }  // namespace bestpeer::storm

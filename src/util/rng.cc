@@ -1,6 +1,6 @@
 #include "util/rng.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -71,7 +71,7 @@ double Rng::NextExponential(double mean) {
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 ZipfSampler::ZipfSampler(size_t n, double s) {
-  assert(n > 0);
+  assert(n > 0 && n <= UINT32_MAX);
   cdf_.resize(n);
   double sum = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -79,13 +79,23 @@ ZipfSampler::ZipfSampler(size_t n, double s) {
     cdf_[i] = sum;
   }
   for (auto& c : cdf_) c /= sum;
+  // cdf_.back() is sum / sum == 1.0 > every u, so Rank's forward step
+  // always stops inside the table.
+  guide_.resize(std::bit_ceil(4 * n));
+  const double cell = 1.0 / static_cast<double>(guide_.size());
+  uint32_t rank = 0;
+  for (size_t k = 0; k < guide_.size(); ++k) {
+    while (cdf_[rank] < static_cast<double>(k) * cell) ++rank;
+    guide_[k] = rank;
+  }
 }
 
-size_t ZipfSampler::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<size_t>(it - cdf_.begin());
+size_t ZipfSampler::Rank(double u) const {
+  assert(u >= 0.0 && u < 1.0);
+  size_t rank =
+      guide_[static_cast<size_t>(u * static_cast<double>(guide_.size()))];
+  while (cdf_[rank] < u) ++rank;
+  return rank;
 }
 
 }  // namespace bestpeer

@@ -348,6 +348,13 @@ Result<ExperimentResult> RunExperiment(const ExperimentOptions& options) {
       options.matches_per_node_vec.size() != options.topology.node_count) {
     return Status::InvalidArgument("placement size != node count");
   }
+  const size_t pool_bytes = CorpusGenerator::PoolBytes(options.query_pool);
+  if (pool_bytes > options.object_size) {
+    return Status::InvalidArgument(
+        "query_pool " + std::to_string(options.query_pool) +
+        " needs object_size >= " + std::to_string(pool_bytes) + ", got " +
+        std::to_string(options.object_size));
+  }
   switch (options.scheme) {
     case Scheme::kScs:
     case Scheme::kMcs:

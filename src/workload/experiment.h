@@ -127,9 +127,11 @@ struct ExperimentOptions {
   /// Zipf-repeat query mode: when query_pool > 0, each query's keyword is
   /// "needle<rank>" with rank drawn from a ZipfSampler over the pool
   /// (skew query_zipf_skew, dedicated rng), and matching objects contain
-  /// every pool token so each of them answers all pooled queries. The
-  /// skewed repetition is what gives a result cache something to hit.
-  /// 0 = the original single-keyword workload, bit-identical to before.
+  /// every pool token so each of them answers all pooled queries
+  /// (RunExperiment rejects a pool wider than object_size; see
+  /// CorpusGenerator::PoolBytes). The skewed repetition is what gives a
+  /// result cache something to hit. 0 = the original single-keyword
+  /// workload, bit-identical to before.
   size_t query_pool = 0;
   double query_zipf_skew = 1.1;
 

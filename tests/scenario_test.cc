@@ -126,6 +126,21 @@ TEST(ScenarioSpecTest, OutOfRangeValuesAreRejected) {
       "duration_ms");
 }
 
+TEST(ScenarioSpecTest, QueryPoolMustFitObjectSize) {
+  // 100 pooled keywords take 889 bytes: at 512 the matching objects
+  // would hold only needle0..needle57.
+  ExpectParseFails(Replaced(BaseSpec(), "\"seed\": 1",
+                            "\"seed\": 1, \"query_pool\": 100, "
+                            "\"object_size\": 512"),
+                   "query_pool 100 needs object_size >= 889, got 512");
+  Result<ScenarioSpec> spec =
+      Parse(Replaced(BaseSpec(), "\"seed\": 1",
+                     "\"seed\": 1, \"query_pool\": 100, "
+                     "\"object_size\": 889"));
+  ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+  EXPECT_EQ(spec.value().query_pool, 100u);
+}
+
 TEST(ScenarioSpecTest, FractionalCountIsRejected) {
   ExpectParseFails(Replaced(BaseSpec(), "\"count\": 4", "\"count\": 4.5"),
                    "integer");

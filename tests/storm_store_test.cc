@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -139,6 +140,65 @@ TEST(ObjectStoreTest, SpaceReusedAfterDelete) {
   }
   // Deleted space must be reused: no significant page growth.
   EXPECT_LE(pager.page_count(), pages_before + 1);
+}
+
+// Ids of the live records on page `pid`, in slot order.
+std::vector<ObjectId> IdsOnPage(BufferPool* pool, PageId pid) {
+  std::vector<ObjectId> ids;
+  PageGuard guard = pool->Fetch(pid).value();
+  for (uint16_t slot = 0; slot < guard.page()->slot_count(); ++slot) {
+    if (!guard.page()->SlotLive(slot)) continue;
+    ObjectId id;
+    std::memcpy(&id, guard.page()->Read(slot).value().first, sizeof(id));
+    ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(ObjectStoreTest, FirstFitMatchesParent) {
+  // The paper's 1000 x 1 KB store over a 128-frame pool: three records a
+  // page, so page 333 holds only id 999. Then holes on pages 0 and 167.
+  // First fit in page order fills the holes, then the tail page, then a
+  // new page; the pool counts pin the fetch sequence that choice makes,
+  // which every storm.pool_* figure depends on.
+  MemPager pager;
+  auto pool = BufferPool::Create(&pager, {.frames = 128, .policy = "lru"}).value();
+  auto store = ObjectStore::Open(pool.get()).value();
+  const Bytes obj(1024, 'x');
+  for (ObjectId id = 0; id < 1000; ++id) {
+    ASSERT_TRUE(store->Put(id, obj).ok());
+  }
+  EXPECT_EQ(pager.page_count(), 334u);
+  EXPECT_EQ(pool->hits(), 666u);
+  EXPECT_EQ(pool->misses(), 0u);
+  EXPECT_EQ(pool->evictions(), 206u);
+  EXPECT_EQ(pool->writebacks(), 206u);
+
+  const uint64_t hits = pool->hits();
+  const uint64_t misses = pool->misses();
+  const uint64_t evictions = pool->evictions();
+  const uint64_t writebacks = pool->writebacks();
+  for (ObjectId id : {0, 1, 2, 501, 502, 503}) {
+    ASSERT_TRUE(store->Delete(id).ok());
+  }
+  for (ObjectId id = 1000; id < 1008; ++id) {
+    ASSERT_TRUE(store->Put(id, obj).ok());
+  }
+  EXPECT_EQ(pager.page_count(), 334u);  // Holes and tail refilled in place.
+  ASSERT_TRUE(store->Put(1008, obj).ok());
+  EXPECT_EQ(pager.page_count(), 335u);
+  EXPECT_EQ(pool->hits() - hits, 12u);
+  EXPECT_EQ(pool->misses() - misses, 2u);  // Pages 0 and 167.
+  EXPECT_EQ(pool->evictions() - evictions, 3u);
+  EXPECT_EQ(pool->writebacks() - writebacks, 3u);
+
+  EXPECT_EQ(IdsOnPage(pool.get(), 0),
+            (std::vector<ObjectId>{1000, 1001, 1002}));
+  EXPECT_EQ(IdsOnPage(pool.get(), 167),
+            (std::vector<ObjectId>{1003, 1004, 1005}));
+  EXPECT_EQ(IdsOnPage(pool.get(), 333),
+            (std::vector<ObjectId>{999, 1006, 1007}));
+  EXPECT_EQ(IdsOnPage(pool.get(), 334), (std::vector<ObjectId>{1008}));
 }
 
 TEST(ObjectStoreTest, DirectoryRebuiltOnReopen) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
 
 #include "util/bytes.h"
@@ -290,6 +292,53 @@ TEST(ZipfTest, ZeroSkewIsRoughlyUniform) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 20000; ++i) counts[zipf.Sample(rng)]++;
   for (int c : counts) EXPECT_NEAR(c, 2000, 350);
+}
+
+TEST(ZipfTest, GuideTableEqualsBinarySearch) {
+  const std::pair<size_t, double> shapes[] = {
+      {1, 0.8}, {10, 0.0}, {100, 1.0}, {300, 0.8}, {500, 0.8}, {1000, 4.0}};
+  for (const auto& [n, s] : shapes) {
+    ZipfSampler zipf(n, s);
+    // The CDF and search of a plain binary-search sampler.
+    std::vector<double> cdf(n);
+    double sum = 0;
+    for (size_t i = 0; i < n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i + 1), s);
+      cdf[i] = sum;
+    }
+    for (auto& c : cdf) c /= sum;
+    auto expected = [&cdf](double u) {
+      auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+      return it == cdf.end() ? cdf.size() - 1
+                             : static_cast<size_t>(it - cdf.begin());
+    };
+    // Draws near every CDF value and every guide-cell edge, where a
+    // rounding slip would show first, plus both ends of NextDouble().
+    std::vector<double> probes = {0.0, 1.0 - 0x1.0p-53};
+    for (double c : cdf) {
+      probes.push_back(c);
+      probes.push_back(std::nextafter(c, 0.0));
+      probes.push_back(std::nextafter(c, 2.0));
+    }
+    const size_t cells = std::bit_ceil(4 * n);
+    for (size_t k = 0; k < cells; ++k) {
+      const double edge = static_cast<double>(k) / static_cast<double>(cells);
+      probes.push_back(edge);
+      probes.push_back(std::nextafter(edge, 0.0));
+      probes.push_back(std::nextafter(edge, 2.0));
+    }
+    for (double u : probes) {
+      if (u < 0.0 || u >= 1.0) continue;  // NextDouble() is in [0, 1).
+      ASSERT_EQ(zipf.Rank(u), expected(u)) << "n=" << n << " s=" << s
+                                           << " u=" << u;
+    }
+    Rng rng(n);
+    for (int i = 0; i < 1000000; ++i) {
+      const double u = rng.NextDouble();
+      ASSERT_EQ(zipf.Rank(u), expected(u)) << "n=" << n << " s=" << s
+                                           << " u=" << u;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Hash

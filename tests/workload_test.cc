@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "util/hash.h"
 #include "util/strings.h"
 #include "workload/corpus.h"
 #include "workload/experiment.h"
@@ -113,6 +114,46 @@ TEST(CorpusTest, DeterministicPerSeed) {
   EXPECT_EQ(a.MakeObject(false), b.MakeObject(false));
 }
 
+// FNV-1a over everything one generator emits for a store shape in use:
+// 2000 objects (the first 10 of every 1000 matching), a pooled match and
+// non-match, and file names.
+uint64_t CorpusDigest(const CorpusOptions& options) {
+  CorpusGenerator corpus(options, 601);
+  std::string all;
+  for (size_t i = 0; i < 2000; ++i) {
+    all += ToString(corpus.MakeObject(i % 1000 < 10));
+  }
+  const std::vector<std::string> pool = CorpusGenerator::PoolTokens(8);
+  all += ToString(corpus.MakeObject(true, pool));
+  all += ToString(corpus.MakeObject(false, pool));
+  for (size_t i = 0; i < 20; ++i) {
+    all += corpus.MakeFileName(i % 4 == 0, i) + '\n';
+  }
+  return Fnv1a64(all);
+}
+
+// Digests of the bytes every committed baseline was generated from: a
+// change to the sampler or the generator must not move them.
+TEST(CorpusTest, BytesMatchParent) {
+  EXPECT_EQ(CorpusDigest({1024, 500, 0.8}), 0x12477A4E46E5B305ULL);
+  EXPECT_EQ(CorpusDigest({512, 300, 0.8}), 0xD0C39AE7ACFC1423ULL);
+}
+
+TEST(CorpusTest, PoolBytesHoldsEveryPooledToken) {
+  const std::vector<std::string> pool = CorpusGenerator::PoolTokens(100);
+  EXPECT_EQ(CorpusGenerator::PoolBytes(0), 0u);
+  EXPECT_EQ(CorpusGenerator::PoolBytes(1), 7u);  // "needle0"
+  ASSERT_EQ(CorpusGenerator::PoolBytes(100), 889u);
+  CorpusGenerator exact({889, 500, 0.8}, 5);
+  const std::string text = ToString(exact.MakeObject(true, pool));
+  for (const std::string& token : pool) {
+    EXPECT_TRUE(ContainsKeyword(text, token)) << token;
+  }
+  CorpusGenerator short_by_one({888, 500, 0.8}, 5);
+  EXPECT_FALSE(ContainsKeyword(
+      ToString(short_by_one.MakeObject(true, pool)), pool.back()));
+}
+
 // ---------------------------------------------------------------- placement
 
 TEST(PlacementTest, FarHotPlacementPicksDistantNodes) {
@@ -188,6 +229,24 @@ TEST(ExperimentTest, ValidatesPlacementSize) {
   options.topology = MakeLine(3);
   options.matches_per_node_vec = {1, 2};  // Wrong length.
   EXPECT_FALSE(RunExperiment(options).ok());
+}
+
+TEST(ExperimentTest, RejectsPoolThatDoesNotFitObjects) {
+  ExperimentOptions options;
+  options.topology = MakeStar(3);
+  options.scheme = Scheme::kBpr;
+  options.objects_per_node = 4;
+  options.matches_per_node = 1;
+  options.queries = 1;
+  options.query_pool = 100;
+  options.object_size = 512;
+  Result<ExperimentResult> rejected = RunExperiment(options);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+  EXPECT_NE(rejected.status().message().find("889"), std::string::npos)
+      << rejected.status().message();
+  options.object_size = 889;
+  EXPECT_TRUE(RunExperiment(options).ok());
 }
 
 TEST(ExperimentTest, DeterministicAcrossRuns) {
