@@ -2,10 +2,10 @@
 // workload (pooled keywords, skewed repetition, a StorM mutation every
 // other query, probabilistic message loss) run in three arms at the same
 // seeds —
-//   freq-broadcast: PR-5 behavior, every promotion broadcast to all
-//                   direct peers, epochs probe-discovered;
-//   qos-placement:  promotions go to the replica_fanout best peers by
-//                   the QoS score (RTT / benefit / failures / bandwidth);
+//   freq-broadcast: every promotion broadcast to all direct peers,
+//                   epochs probe-discovered;
+//   qos-placement:  promotions go to the two best peers by the QoS
+//                   score (RTT / failures / bandwidth);
 //   qos+gossip:     QoS placement plus the gossip anti-entropy plane, so
 //                   epoch bumps invalidate cached slices *before* the
 //                   next probe (no stale-probe round trips).
@@ -54,7 +54,6 @@ workload::ExperimentOptions PlacementWorkload() {
   // and epoch dissemination.
   o.enable_result_cache = true;
   o.enable_replication = true;
-  o.replica_hot_threshold = 3;
   o.replica_top_k = 8;
   return o;
 }
@@ -121,7 +120,6 @@ int main() {
 
   workload::ExperimentOptions qos = freq;
   qos.qos_replica_placement = true;
-  qos.replica_fanout = 2;
   workload::ExperimentResult qos_result = report.Run(qos);
   ArmOutcome qos_out = Summarize(qos_result, freq_out.wire_bytes);
 

@@ -210,7 +210,6 @@ int main() {
 
   workload::ExperimentOptions repl = on;
   repl.enable_replication = true;
-  repl.replica_hot_threshold = 3;
   repl.replica_top_k = 8;
   workload::ExperimentResult repl_result = report.Run(repl);
   ArmOutcome repl_out = Summarize(repl_result, off_out.wire_bytes);

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "obs/critical_path.h"
-#include "obs/json_writer.h"
 #include "obs/timeseries.h"
+#include "util/json_writer.h"
 #include "workload/experiment.h"
 #include "workload/topology.h"
 #include "workload/world.h"
@@ -161,20 +161,20 @@ class BenchReport {
       return;
     }
     std::fprintf(f, "{\n  \"figure\": %s,\n",
-                 obs::JsonQuoted(figure_).c_str());
+                 JsonQuoted(figure_).c_str());
     std::fprintf(f, "  \"columns\": [");
     for (size_t i = 0; i < columns_.size(); ++i) {
       std::fprintf(f, "%s%s", i == 0 ? "" : ", ",
-                   obs::JsonQuoted(columns_[i]).c_str());
+                   JsonQuoted(columns_[i]).c_str());
     }
     std::fprintf(f, "],\n  \"rows\": [\n");
     for (size_t r = 0; r < rows_.size(); ++r) {
       std::fprintf(f, "    {\"label\": %s, \"values\": [",
-                   obs::JsonQuoted(rows_[r].first).c_str());
+                   JsonQuoted(rows_[r].first).c_str());
       const auto& values = rows_[r].second;
       for (size_t i = 0; i < values.size(); ++i) {
         std::fprintf(f, "%s%s", i == 0 ? "" : ", ",
-                     obs::JsonNumber(values[i]).c_str());
+                     JsonNumber(values[i]).c_str());
       }
       std::fprintf(f, "]}%s\n", r + 1 < rows_.size() ? "," : "");
     }
@@ -186,25 +186,25 @@ class BenchReport {
     std::fprintf(f, "    \"wire_bytes\": %llu,\n",
                  static_cast<unsigned long long>(wire_bytes_));
     std::fprintf(f, "    \"net_messages\": %s,\n",
-                 obs::JsonNumber(metrics_.Value("net.messages_sent")).c_str());
+                 JsonNumber(metrics_.Value("net.messages_sent")).c_str());
     std::fprintf(f, "    \"agent_migrations\": %s,\n",
-                 obs::JsonNumber(metrics_.Value("agent.migrations")).c_str());
+                 JsonNumber(metrics_.Value("agent.migrations")).c_str());
     std::fprintf(
         f, "    \"agent_hops_mean\": %s,\n",
-        obs::JsonNumber(hop_samples == 0
+        JsonNumber(hop_samples == 0
                             ? 0.0
                             : metrics_.Value("agent.hops_at_execute") /
                                   static_cast<double>(hop_samples))
             .c_str());
     std::fprintf(
         f, "    \"agent_serialize_bytes\": %s,\n",
-        obs::JsonNumber(metrics_.Value("agent.serialize_bytes")).c_str());
+        JsonNumber(metrics_.Value("agent.serialize_bytes")).c_str());
     std::fprintf(
         f, "    \"agent_reconstruct_us\": %s,\n",
-        obs::JsonNumber(metrics_.Value("agent.reconstruct_us")).c_str());
+        JsonNumber(metrics_.Value("agent.reconstruct_us")).c_str());
     std::fprintf(
         f, "    \"buffer_pool_hit_rate\": %s\n",
-        obs::JsonNumber(lookups == 0 ? 0.0 : hits / lookups).c_str());
+        JsonNumber(lookups == 0 ? 0.0 : hits / lookups).c_str());
     std::fprintf(f, "  },\n");
     if (!timeseries_json_.empty()) {
       std::fprintf(f, "  \"timeseries\": %s,\n", timeseries_json_.c_str());

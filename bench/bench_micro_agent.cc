@@ -36,7 +36,7 @@ BENCHMARK(BM_AgentMessageEncodeDecode)->Arg(64)->Arg(4096);
 
 void BM_SearchAgentStateRoundTrip(benchmark::State& state) {
   core::SearchAgent agent(99, "some keyword phrase",
-                          core::AnswerMode::kDirect, Micros(15), 64);
+                          core::AnswerMode::kDirect);
   for (auto _ : state) {
     BinaryWriter w;
     agent.SaveState(w);

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "net/cost_model.h"
 #include "util/logging.h"
 
 namespace bestpeer::agent {
@@ -69,7 +70,7 @@ void AgentRuntime::Forward(const AgentMessage& msg, NodeId skip) {
     if (n == skip || n == node_ || n == msg.origin) continue;
     // Per-clone handling cost, then the clone hits the wire.
     transport_->RunCpu(
-        options_.forward_cost,
+        net::kAgentForwardCost,
         [this, n, clone]() {
           Status s = SendAgentTo(n, clone);
           if (!s.ok()) {
@@ -85,9 +86,9 @@ Status AgentRuntime::ExecuteIncoming(const AgentMessage& msg) {
   BinaryReader reader(msg.state);
   BP_RETURN_IF_ERROR(agent->LoadState(reader));
 
-  SimTime setup = options_.reconstruct_cost;
+  SimTime setup = net::kAgentReconstructCost;
   if (!code_cache_->Has(node_, msg.class_name)) {
-    setup += options_.class_load_cost;
+    setup += net::kAgentClassLoadCost;
     code_cache_->Load(node_, msg.class_name);
     class_loads_c_->Increment();
   }

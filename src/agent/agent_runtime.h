@@ -18,15 +18,9 @@ namespace bestpeer::agent {
 /// Message-type tag used for agent transfers on the simulated wire.
 constexpr uint32_t kAgentTransferType = 0x41474E54;  // "AGNT"
 
-/// Cost model and behaviour knobs of a node's agent engine.
+/// Behaviour knobs of a node's agent engine (its costs are the
+/// net/cost_model.h constants).
 struct AgentRuntimeOptions {
-  /// CPU to rebuild an agent from its serialized state at a peer
-  /// (the paper's "overhead of reconstructing the agent at the peer site").
-  SimTime reconstruct_cost = Millis(4);
-  /// Extra CPU the first time a class is loaded at a node.
-  SimTime class_load_cost = Millis(8);
-  /// CPU to clone-and-forward the agent to one neighbour.
-  SimTime forward_cost = Micros(300);
   /// How long the duplicate-drop table remembers an agent id after its
   /// last sighting. Lost agents (dropped in flight, died with their host)
   /// never deregister, so without expiry the table grows forever under
@@ -47,9 +41,11 @@ struct AgentRuntimeOptions {
 ///  2. If TTL > 0, the agent is cloned and forwarded to every current
 ///     overlay neighbour except the arrival link (TTL-1, Hops+1). The
 ///     agent's path is fully transparent to the agent developer.
-///  3. The agent is reconstructed (CPU cost; plus class-load cost on the
-///     first visit of this class) and executed on a fresh thread of the
-///     node's CPU; its queued sends fire when the work completes.
+///  3. The agent is reconstructed (net::kAgentReconstructCost, plus
+///     net::kAgentClassLoadCost on the first visit of this class; the
+///     paper's "overhead of reconstructing the agent at the peer site")
+///     and executed on a fresh thread of the node's CPU; its queued
+///     sends fire when the work completes.
 class AgentRuntime {
  public:
   /// Returns the node's *current* direct overlay neighbours — evaluated at

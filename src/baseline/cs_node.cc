@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/cost_model.h"
 #include "util/logging.h"
 
 namespace bestpeer::baseline {
@@ -221,11 +222,10 @@ void CsNode::OnQuery(const net::Message& msg) {
   relays_[query->query_id] = std::move(state);
 
   uint64_t query_id = query->query_id;
-  transport_->RunCpu(config_.query_handling_cost,
-                              [this, query_id]() {
-                                AdvanceForwarding(query_id);
-                                StartLocalScan(query_id);
-                              });
+  transport_->RunCpu(net::kCsQueryHandlingCost, [this, query_id]() {
+    AdvanceForwarding(query_id);
+    StartLocalScan(query_id);
+  });
 }
 
 void CsNode::StartLocalScan(uint64_t query_id) {
@@ -245,7 +245,7 @@ void CsNode::StartLocalScan(uint64_t query_id) {
     size_t touched = 0;
     auto indexed = storage_->IndexSearch(state.keyword, &touched);
     if (indexed.ok()) {
-      cost = static_cast<SimTime>(touched) * config_.per_posting_cost;
+      cost = static_cast<SimTime>(touched) * net::kPerPostingCost;
       matches = std::move(indexed).value();
       answered = true;
     }
@@ -259,7 +259,7 @@ void CsNode::StartLocalScan(uint64_t query_id) {
       return;
     }
     cost = static_cast<SimTime>(scan->objects_scanned) *
-           config_.per_object_match_cost;
+           net::kPerObjectMatchCost;
     matches = std::move(scan->matches);
   }
   transport_->RunCpu(cost, [this, query_id,
@@ -278,8 +278,8 @@ void CsNode::StartLocalScan(uint64_t query_id) {
         if (config_.ship_content) {
           auto content = storage_->Get(id);
           if (content.ok()) item.content = std::move(content).value();
-        } else if (item.name.size() < config_.descriptor_bytes) {
-          item.name.resize(config_.descriptor_bytes, ' ');
+        } else if (item.name.size() < net::kAnswerDescriptorBytes) {
+          item.name.resize(net::kAnswerDescriptorBytes, ' ');
         }
         answer.items.push_back(std::move(item));
       }
@@ -317,9 +317,9 @@ void CsNode::OnAnswer(const net::Message& msg) {
   NodeId parent = state.parent;
   Bytes reencoded = answer->Encode();
   SimTime cost =
-      config_.relay_cost +
+      net::kCsRelayCost +
       static_cast<SimTime>(static_cast<double>(reencoded.size()) *
-                           config_.relay_per_byte_cost_us);
+                           net::kRelayPerByteCostUs);
   transport_->RunCpu(
       cost, [this, parent, reencoded = std::move(reencoded)]() {
         SendCompressed(parent, kCsAnswerType, reencoded);

@@ -23,34 +23,26 @@ constexpr uint32_t kCsQueryType = 0x43530001;
 constexpr uint32_t kCsAnswerType = 0x43530002;
 constexpr uint32_t kCsDoneType = 0x43530003;
 
-/// Client/server baseline configuration.
+/// Client/server baseline configuration. Its costs are net/cost_model.h
+/// constants: the scan, index and descriptor costs BestPeer charges, plus
+/// the CS query-handling and relay costs (deep paths pay the per-byte
+/// relay repeatedly — the §4.3 CS degradation).
 struct CsConfig {
   /// Single-thread CS (SCS): a node queries its children one at a time,
   /// waiting for each subtree to complete before contacting the next.
   /// Multi-thread CS (MCS) fans out to all children in parallel.
   bool single_thread = false;
-  SimTime per_object_match_cost = Micros(15);
-  /// Fixed CPU to relay one answer message one hop toward the base node.
-  SimTime relay_cost = Micros(500);
-  /// Additional relay CPU per payload byte (store-and-forward copy
-  /// through the server's I/O stack; deep paths pay this repeatedly —
-  /// the §4.3 CS degradation).
-  double relay_per_byte_cost_us = 0.5;
   /// Ship full object contents in answers (the counterpart of BestPeer's
-  /// answer mode 1); false returns fixed-size match descriptors, the
-  /// counterpart of mode 2 and of the paper's search-result lists.
+  /// answer mode 1); false returns net::kAnswerDescriptorBytes match
+  /// descriptors, the counterpart of mode 2 and of the paper's
+  /// search-result lists.
   bool ship_content = true;
-  /// Descriptor size when ship_content is false.
-  size_t descriptor_bytes = 64;
-  /// CPU to accept/parse one query at a server.
-  SimTime query_handling_cost = Micros(200);
   std::string codec = "lzss";
   /// Answer queries from Storm::IndexSearch instead of the full scan,
   /// charging per posting touched (falls back to the scan when the
   /// store has no index). Mirrors BestPeerConfig::use_index_search so
   /// the CS baseline stays comparable.
   bool use_index_search = false;
-  SimTime per_posting_cost = Micros(1);
 };
 
 /// Completion-tracked query state at the base node.

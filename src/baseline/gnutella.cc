@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "net/cost_model.h"
 #include "util/hash.h"
 #include "util/strings.h"
 
@@ -217,7 +218,7 @@ void GnutellaNode::Flood(GnutellaDescriptor desc, NodeId skip) {
   for (NodeId n : neighbors_) {
     if (n == skip) continue;
     GnutellaDescriptor copy = desc;
-    transport_->RunCpu(config_.route_cost, [this, n, copy]() {
+    transport_->RunCpu(net::kGnutellaRouteCost, [this, n, copy]() {
       transport_->Send(n, kGnutellaDescriptorType, copy.Encode());
     });
   }
@@ -277,15 +278,15 @@ void GnutellaNode::HandleQuery(const GnutellaDescriptor& desc,
       entry.size = size;
       entry.name = name;
       // Pad names to the modelled per-entry wire size.
-      if (entry.name.size() < config_.file_entry_bytes) {
-        entry.name.resize(config_.file_entry_bytes, ' ');
+      if (entry.name.size() < net::kGnutellaFileEntryBytes) {
+        entry.name.resize(net::kGnutellaFileEntryBytes, ' ');
       }
       hit.files.push_back(std::move(entry));
     }
     ++index;
   }
   SimTime scan_cost = static_cast<SimTime>(files_.size()) *
-                      config_.per_file_match_cost;
+                      net::kGnutellaFileMatchCost;
   if (hit.files.empty()) {
     // Still charge the scan.
     transport_->RunCpu(scan_cost, []() {});
@@ -334,9 +335,9 @@ void GnutellaNode::HandleQueryHit(const GnutellaDescriptor& desc,
   NodeId next = route->second;
   ++descriptors_routed_;
   SimTime cost =
-      config_.route_cost +
+      net::kGnutellaRouteCost +
       static_cast<SimTime>(static_cast<double>(desc.payload.size()) *
-                           config_.relay_per_byte_cost_us);
+                           net::kRelayPerByteCostUs);
   transport_->RunCpu(cost, [this, next, fwd]() {
     transport_->Send(next, kGnutellaDescriptorType, fwd.Encode());
   });
@@ -366,7 +367,7 @@ void GnutellaNode::HandlePing(const GnutellaDescriptor& desc,
   w.WriteU32(node_);
   w.WriteU32(static_cast<uint32_t>(files_.size()));
   pong.payload = w.Take();
-  transport_->RunCpu(config_.route_cost, [this, from, pong]() {
+  transport_->RunCpu(net::kGnutellaRouteCost, [this, from, pong]() {
     transport_->Send(from, kGnutellaDescriptorType, pong.Encode());
   });
 }
@@ -385,7 +386,7 @@ void GnutellaNode::HandlePong(const GnutellaDescriptor& desc,
   fwd.ttl = static_cast<uint8_t>(desc.ttl - 1);
   fwd.hops = static_cast<uint8_t>(desc.hops + 1);
   NodeId next = route->second;
-  transport_->RunCpu(config_.route_cost, [this, next, fwd]() {
+  transport_->RunCpu(net::kGnutellaRouteCost, [this, next, fwd]() {
     transport_->Send(next, kGnutellaDescriptorType, fwd.Encode());
   });
 }
@@ -411,7 +412,7 @@ Status GnutellaNode::SendPush(uint64_t query_key, NodeId target_servent,
   push.file_index = file_index;
   desc.payload = push.Encode();
   NodeId next = route->second;
-  transport_->RunCpu(config_.route_cost, [this, next, desc]() {
+  transport_->RunCpu(net::kGnutellaRouteCost, [this, next, desc]() {
     transport_->Send(next, kGnutellaDescriptorType, desc.Encode());
   });
   return Status::OK();
@@ -432,7 +433,7 @@ void GnutellaNode::HandlePush(const GnutellaDescriptor& desc,
     }
     NodeId requester = push->requester;
     transport_->RunCpu(
-        config_.route_cost, [this, requester, size]() {
+        net::kGnutellaRouteCost, [this, requester, size]() {
           transport_->Send(requester, kGnutellaPushOpenType,
                          Bytes(size, 0));
         });
@@ -447,7 +448,7 @@ void GnutellaNode::HandlePush(const GnutellaDescriptor& desc,
   fwd.hops = static_cast<uint8_t>(desc.hops + 1);
   NodeId next = route->second;
   ++descriptors_routed_;
-  transport_->RunCpu(config_.route_cost, [this, next, fwd]() {
+  transport_->RunCpu(net::kGnutellaRouteCost, [this, next, fwd]() {
     transport_->Send(next, kGnutellaDescriptorType, fwd.Encode());
   });
 }

@@ -89,20 +89,11 @@ struct GnutellaPush {
 /// (models the servent opening the upload connection).
 constexpr uint32_t kGnutellaPushOpenType = 0x474E5550;  // "GNUP"
 
-/// Gnutella servant configuration.
+/// Gnutella servant configuration. Its costs (file match, route, and
+/// the per-byte QueryHit relay shared with the CS model) are
+/// net/cost_model.h constants.
 struct GnutellaConfig {
   uint8_t default_ttl = 7;
-  /// CPU to match the query against one shared file name. Slightly above
-  /// BestPeer's per-object cost: FURI is "a full version program with a
-  /// GUI interface" (paper §4.6), not a lean engine.
-  SimTime per_file_match_cost = Micros(20);
-  /// CPU to route one descriptor one hop.
-  SimTime route_cost = Micros(800);
-  /// Additional CPU per payload byte when relaying a QueryHit hop-by-hop
-  /// (store-and-forward copy, same model as the CS relay).
-  double relay_per_byte_cost_us = 0.5;
-  /// Modelled on-wire size of one file entry in a QueryHit.
-  size_t file_entry_bytes = 64;
 };
 
 /// Search bookkeeping at the initiating servant.

@@ -41,8 +41,7 @@ bool ReplicaManager::ShouldPromote(const std::string& key,
 double ReplicaManager::Score(const PeerQoS& qos) {
   double health = 1.0 + static_cast<double>(qos.failures);
   double latency = 1.0 + qos.rtt_us / 1000.0;
-  return (1.0 + qos.benefit) * qos.bandwidth_bytes_per_us /
-         (health * health * latency);
+  return qos.bandwidth_bytes_per_us / (health * health * latency);
 }
 
 std::vector<NodeId> ReplicaManager::SelectTargets(

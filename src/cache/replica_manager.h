@@ -20,8 +20,6 @@ struct PeerQoS {
   /// Observed round-trip time of the peer's last query response (us);
   /// 0 = never observed (treated as neutral, not as instant).
   double rtt_us = 0;
-  /// Accumulated answer-benefit score (the reconfiguration score).
-  double benefit = 0;
   /// Consecutive missed query deadlines (health/eviction history).
   uint32_t failures = 0;
   /// Link bandwidth toward the peer in bytes/us.
@@ -66,12 +64,11 @@ class ReplicaManager {
   uint64_t promotions() const { return promotions_; }
 
   /// QoS placement score: higher is a better replica target. The formula
-  /// (documented in DESIGN.md §13) favors peers that answered well
-  /// (benefit), over fast links (rtt, bandwidth), and penalizes peers
-  /// with eviction-track-record (consecutive failures) quadratically:
+  /// (documented in DESIGN.md §13) favors peers over fast links (rtt,
+  /// bandwidth), and penalizes peers with eviction-track-record
+  /// (consecutive failures) quadratically:
   ///
-  ///   score = (1 + benefit) * bandwidth
-  ///           / ((1 + failures)^2 * (1 + rtt_us / 1000))
+  ///   score = bandwidth / ((1 + failures)^2 * (1 + rtt_us / 1000))
   static double Score(const PeerQoS& qos);
 
   /// Picks up to `fanout` replica targets, ordered by Score descending

@@ -1,5 +1,6 @@
 #include "core/compute.h"
 
+#include "net/cost_model.h"
 #include "storm/storm.h"
 
 namespace bestpeer::core {
@@ -28,15 +29,15 @@ void ComputeAgent::SaveState(BinaryWriter& writer) const {
   writer.WriteU64(query_id_);
   writer.WriteString(filter_name_);
   writer.WriteBytes(params_);
-  writer.WriteI64(per_object_cost_);
+  writer.WriteI64(net::kComputePerObjectCost);
 }
 
 Status ComputeAgent::LoadState(BinaryReader& reader) {
   BP_ASSIGN_OR_RETURN(query_id_, reader.ReadU64());
   BP_ASSIGN_OR_RETURN(filter_name_, reader.ReadString());
   BP_ASSIGN_OR_RETURN(params_, reader.ReadBytes());
-  BP_ASSIGN_OR_RETURN(per_object_cost_, reader.ReadI64());
-  return Status::OK();
+  // The sender's per-object cost: read past, never used.
+  return reader.ReadI64().status();
 }
 
 Status ComputeAgent::Execute(agent::AgentContext& ctx) {
@@ -59,8 +60,6 @@ Status ComputeAgent::Execute(agent::AgentContext& ctx) {
 
   size_t scanned = 0;
   Status status = Status::OK();
-  storm::Storm::ScanResult all;  // unused; ForEach drives the scan
-  (void)all;
   std::vector<storm::ObjectId> ids = storage->ListIds();
   for (storm::ObjectId id : ids) {
     ++scanned;
@@ -78,7 +77,7 @@ Status ComputeAgent::Execute(agent::AgentContext& ctx) {
     item.content = std::move(filtered).value();
     result.items.push_back(std::move(item));
   }
-  ctx.ChargeCpu(static_cast<SimTime>(scanned) * per_object_cost_);
+  ctx.ChargeCpu(static_cast<SimTime>(scanned) * net::kComputePerObjectCost);
   if (!status.ok()) return status;
   if (!result.items.empty()) {
     ctx.SendMessage(ctx.origin_node(), kSearchResultType, result.Encode());

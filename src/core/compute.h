@@ -45,16 +45,16 @@ class FilterRegistry {
 /// Agent carrying a filter id + parameters; at each node it runs the
 /// filter over every shared object and sends the non-empty outputs back
 /// to the base node as a mode-1 result ("only the necessary data is
-/// transmitted to the requester").
+/// transmitted to the requester"). Its encoding also carries the sender's
+/// per-object cost, which LoadState discards: the visited node charges
+/// net::kComputePerObjectCost.
 class ComputeAgent : public agent::Agent {
  public:
   ComputeAgent() = default;
-  ComputeAgent(uint64_t query_id, std::string filter_name, Bytes params,
-               SimTime per_object_cost)
+  ComputeAgent(uint64_t query_id, std::string filter_name, Bytes params)
       : query_id_(query_id),
         filter_name_(std::move(filter_name)),
-        params_(std::move(params)),
-        per_object_cost_(per_object_cost) {}
+        params_(std::move(params)) {}
 
   std::string_view class_name() const override { return kComputeAgentClass; }
   void SaveState(BinaryWriter& writer) const override;
@@ -67,7 +67,6 @@ class ComputeAgent : public agent::Agent {
   uint64_t query_id_ = 0;
   std::string filter_name_;
   Bytes params_;
-  SimTime per_object_cost_ = Micros(30);
 };
 
 /// Host capability the compute agent needs beyond storage. BestPeerNode

@@ -46,38 +46,8 @@ struct BestPeerConfig {
   /// inbound links, like a servent's separate incoming-connection limit).
   size_t AcceptCap() const { return 2 * max_direct_peers; }
 
-  /// Weight of accumulated answer history when reconfiguring: the score
-  /// fed to the strategy is answers + history_weight * previous_score,
-  /// and unobserved nodes decay by the same factor. 0 (default) ranks by
-  /// the last query only, as in the paper; values near 1 make the peer
-  /// set sticky against one-off outliers.
-  double history_weight = 0.0;
-
-  // --- cost model -------------------------------------------------------
-
-  /// CPU per object examined by a StorM search agent.
-  SimTime per_object_match_cost = Micros(15);
-
-  /// CPU to handle one incoming result message at the initiator.
-  SimTime result_handling_cost = Micros(200);
-
-  /// CPU for a responder to serve one fetched object (mode 2).
-  SimTime fetch_per_object_cost = Micros(50);
-
-  /// Modelled size of one mode-2 match descriptor on the wire.
-  size_t answer_descriptor_bytes = 64;
-
-  /// CPU to rebuild an agent at a peer site.
-  SimTime agent_reconstruct_cost = Millis(4);
-
-  /// CPU to load an agent class on first arrival at a node.
-  SimTime agent_class_load_cost = Millis(8);
-
-  /// CPU to clone-and-forward an agent to one neighbour.
-  SimTime agent_forward_cost = Micros(300);
-
-  /// Registered byte size of the StorM search agent class.
-  size_t search_agent_code_bytes = 16 * 1024;
+  // The modelled CPU costs and wire sizes are constants, not knobs: see
+  // net/cost_model.h.
 
   // --- failure recovery -------------------------------------------------
 
@@ -95,9 +65,6 @@ struct BestPeerConfig {
   /// single-attempt semantics; see LigloClientOptions::max_retries).
   int liglo_max_retries = 0;
 
-  /// Base backoff delay between LIGLO retries (doubles per attempt).
-  SimTime liglo_retry_backoff = Millis(200);
-
   /// How long the agent runtime's duplicate-drop table remembers an
   /// agent id (lost agents never deregister themselves). 0 = forever.
   SimTime agent_seen_expiry = 0;
@@ -110,13 +77,6 @@ struct BestPeerConfig {
   /// slices. Off (the default) keeps the wire format and schedule
   /// bit-identical to a cache-less build.
   bool enable_result_cache = false;
-
-  /// Result-cache byte budget (LRU eviction past it).
-  size_t result_cache_bytes = 256 * 1024;
-
-  /// CPU charged for a responder-side cache probe that hits (replacing
-  /// the per-object scan cost).
-  SimTime cache_probe_cost = Micros(5);
 
   /// Enables hot-answer replication: responders push the objects behind
   /// frequently served answers to their direct peers, so later queries
@@ -160,27 +120,21 @@ struct BestPeerConfig {
   uint64_t gossip_seed = 1;
 
   /// Scores replica-push targets by the QoS vector (observed RTT,
-  /// answer benefit, failure history, link bandwidth) and pushes to the
-  /// best `replica_fanout` peers instead of broadcasting to every direct
-  /// neighbor. Off keeps the PR-5 frequency-broadcast behavior.
+  /// failure history, link bandwidth) and pushes to the two best peers
+  /// instead of broadcasting to every direct neighbor. Off keeps the
+  /// frequency-broadcast behavior.
   bool qos_replica_placement = false;
-
-  /// Replica targets per promotion under QoS placement.
-  size_t replica_fanout = 2;
 
   // --- index-backed search & content summaries (opt-in) -----------------
 
   /// Routes the StorM search agent through Storm::IndexSearch (sorted
   /// posting lists with galloping intersection) instead of the full
-  /// per-object scan, charging CPU per posting touched. Requires
+  /// per-object scan, charging net::kPerPostingCost per posting touched
+  /// instead of net::kPerObjectMatchCost per object. Requires
   /// StormOptions::build_index; an agent landing on an index-less store
   /// falls back to the scan path. Off (the default) keeps schedules
   /// bit-identical to a scan-only build.
   bool use_index_search = false;
-
-  /// CPU charged per posting touched on the index path (the analogue of
-  /// per_object_match_cost for the scan path).
-  SimTime per_posting_cost = Micros(1);
 
   /// Enables per-peer content summaries: each node digests its keyword
   /// index into a Bloom-filter summary, pushes it to direct peers at

@@ -4,21 +4,28 @@
 #include <utility>
 
 #include "core/search_agent.h"
+#include "net/cost_model.h"
 #include "storm/query_expr.h"
 #include "util/logging.h"
 
 namespace bestpeer::core {
 
-Status RegisterBuiltinAgents(agent::AgentRegistry* registry,
-                             const BestPeerConfig& config) {
+namespace {
+
+/// Replica targets per promotion under QoS placement.
+constexpr size_t kQosReplicaFanout = 2;
+
+}  // namespace
+
+Status RegisterBuiltinAgents(agent::AgentRegistry* registry) {
   if (!registry->Contains(kSearchAgentClass)) {
     BP_RETURN_IF_ERROR(registry->Register(
-        kSearchAgentClass, config.search_agent_code_bytes,
+        kSearchAgentClass, net::kAgentCodeBytes,
         []() { return std::make_unique<SearchAgent>(); }));
   }
   if (!registry->Contains(kComputeAgentClass)) {
     BP_RETURN_IF_ERROR(registry->Register(
-        kComputeAgentClass, config.search_agent_code_bytes,
+        kComputeAgentClass, net::kAgentCodeBytes,
         []() { return std::make_unique<ComputeAgent>(); }));
   }
   return Status::OK();
@@ -45,7 +52,7 @@ Result<std::unique_ptr<BestPeerNode>> BestPeerNode::Create(
 Status BestPeerNode::Init() {
   BP_ASSIGN_OR_RETURN(codec_, MakeCodec(config_.codec));
   BP_ASSIGN_OR_RETURN(strategy_, MakeReconfigStrategy(config_.strategy));
-  BP_RETURN_IF_ERROR(RegisterBuiltinAgents(&infra_->agent_registry, config_));
+  BP_RETURN_IF_ERROR(RegisterBuiltinAgents(&infra_->agent_registry));
 
   if (config_.metrics != nullptr) {
     metrics::Registry* reg = config_.metrics;
@@ -78,7 +85,6 @@ Status BestPeerNode::Init() {
   }
   if (config_.enable_result_cache) {
     cache::ResultCacheOptions rc;
-    rc.byte_budget = config_.result_cache_bytes;
     rc.metrics = config_.metrics;
     rc.flight = transport_->flight();
     rc.node = node_;
@@ -110,15 +116,11 @@ Status BestPeerNode::Init() {
   dispatcher_ = std::make_unique<net::Dispatcher>(transport_);
   liglo::LigloClientOptions liglo_options;
   liglo_options.max_retries = config_.liglo_max_retries;
-  liglo_options.retry_backoff = config_.liglo_retry_backoff;
   liglo_options.metrics = config_.metrics;
   liglo_ = std::make_unique<liglo::LigloClient>(
       transport_, dispatcher_.get(), &infra_->ip_directory, liglo_options);
 
   agent::AgentRuntimeOptions agent_options;
-  agent_options.reconstruct_cost = config_.agent_reconstruct_cost;
-  agent_options.class_load_cost = config_.agent_class_load_cost;
-  agent_options.forward_cost = config_.agent_forward_cost;
   agent_options.seen_expiry = config_.agent_seen_expiry;
   agent_options.codec = codec_;
   agent_options.metrics = config_.metrics;
@@ -686,9 +688,7 @@ void BestPeerNode::UpdatePeerHealth(const QuerySession& session) {
 Result<uint64_t> BestPeerNode::IssueSearch(const std::string& keyword,
                                            uint16_t ttl) {
   uint64_t query_id = NextQueryId();
-  SearchAgent agent(query_id, keyword, config_.answer_mode,
-                    config_.per_object_match_cost,
-                    config_.answer_descriptor_bytes);
+  SearchAgent agent(query_id, keyword, config_.answer_mode);
   if (result_cache_ != nullptr) {
     // Arm the cache-probe hop step: the agent carries the epoch this base
     // last saw per responder, and the base keeps the matching slices
@@ -704,11 +704,11 @@ Result<uint64_t> BestPeerNode::IssueSearch(const std::string& keyword,
         snapshot.emplace(static_cast<NodeId>(source), slice);
       }
     }
-    agent.EnableCacheProbe(std::move(known), config_.cache_probe_cost);
+    agent.EnableCacheProbe(std::move(known));
     probe_snapshots_[query_id] = std::move(snapshot);
   }
   if (config_.use_index_search) {
-    agent.EnableIndexSearch(config_.per_posting_cost);
+    agent.EnableIndexSearch();
   }
   std::vector<NodeId> skip = SummarySkipSet(keyword);
   if (!skip.empty()) {
@@ -722,8 +722,7 @@ Result<uint64_t> BestPeerNode::IssueCompute(const std::string& filter_name,
                                             const Bytes& params,
                                             uint16_t ttl) {
   uint64_t query_id = NextQueryId();
-  ComputeAgent agent(query_id, filter_name, params,
-                     config_.per_object_match_cost * 2);
+  ComputeAgent agent(query_id, filter_name, params);
   return LaunchAgent(agent, query_id, filter_name, ttl, /*skip=*/{});
 }
 
@@ -757,8 +756,7 @@ Result<uint64_t> BestPeerNode::IssueDirectSearch(const std::string& keyword,
         inputs.remote_objects = StoreSizeHint(peer);
         inputs.class_cached =
             infra_->code_cache.Has(peer, kSearchAgentClass);
-        strategy =
-            ChooseShippingStrategy(inputs, config_, transport_->link());
+        strategy = ChooseShippingStrategy(inputs, transport_->link());
         break;
       }
     }
@@ -770,9 +768,7 @@ Result<uint64_t> BestPeerNode::IssueDirectSearch(const std::string& keyword,
   }
 
   if (!code_targets.empty()) {
-    SearchAgent agent(query_id, keyword, AnswerMode::kIndicate,
-                      config_.per_object_match_cost,
-                      config_.answer_descriptor_bytes);
+    SearchAgent agent(query_id, keyword, AnswerMode::kIndicate);
     BP_RETURN_IF_ERROR(
         runtime_->Launch(query_id, agent, /*ttl=*/1, code_targets));
   }
@@ -798,7 +794,7 @@ void BestPeerNode::OnDataShipRequest(const net::Message& msg) {
     auto item = ReadShared(id);
     if (!item.ok()) continue;
     response->items.push_back(std::move(item).value());
-    cost += config_.fetch_per_object_cost;
+    cost += net::kFetchPerObjectCost;
   }
   NodeId requester = msg.src;
   transport_->RunCpu(
@@ -833,7 +829,7 @@ void BestPeerNode::OnDataShipResponse(const net::Message& msg) {
     if (expr.ok() && expr->Matches(ToString(item.content))) ++matches;
   }
   SimTime cost = static_cast<SimTime>(resp->items.size()) *
-                 config_.per_object_match_cost;
+                 net::kPerObjectMatchCost;
   NodeId responder = msg.src;
   uint64_t query_id = resp->query_id;
   transport_->RunCpu(
@@ -891,8 +887,6 @@ NodeTelemetry BestPeerNode::TelemetrySnapshot() const {
   for (const PeerInfo& info : peers_.Snapshot()) {
     PeerTelemetry row;
     row.info = info;
-    auto score = answer_scores_.find(info.node);
-    if (score != answer_scores_.end()) row.benefit_score = score->second;
     auto hint = store_size_hints_.find(info.node);
     if (hint != store_size_hints_.end()) row.store_size_hint = hint->second;
     t.peers.push_back(std::move(row));
@@ -1024,7 +1018,7 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
   auto record = std::make_shared<SearchResultMessage>(std::move(*result));
   NodeId responder = msg.src;
   transport_->RunCpu(
-      config_.result_handling_cost,
+      net::kResultHandlingCost,
       [this, record, responder, cached_ids, from_cache]() {
         auto session_it = sessions_.find(record->query_id);
         if (session_it == sessions_.end()) return;
@@ -1087,7 +1081,7 @@ void BestPeerNode::PushHotReplicas(const std::vector<uint64_t>& ids) {
   if (config_.qos_replica_placement) {
     // Placement-aware path: score candidates by the QoS telemetry the
     // node already keeps per direct peer, and push only to the best
-    // `replica_fanout` of them — instead of broadcasting to every
+    // kQosReplicaFanout of them — instead of broadcasting to every
     // direct neighbor. Peers already holding a fresh lease on every
     // object of this push are skipped outright (the gossiped lease book
     // is what keeps that knowledge current across expiries).
@@ -1109,14 +1103,12 @@ void BestPeerNode::PushHotReplicas(const std::vector<uint64_t>& ids) {
       if (fully_leased) continue;
       cache::PeerQoS qos;
       qos.rtt_us = static_cast<double>(info.last_response_time);
-      auto score = answer_scores_.find(info.node);
-      if (score != answer_scores_.end()) qos.benefit = score->second;
       qos.failures = info.consecutive_failures;
       qos.bandwidth_bytes_per_us = transport_->link().bytes_per_us;
       candidates.emplace_back(info.node, qos);
     }
-    targets = cache::ReplicaManager::SelectTargets(candidates,
-                                                   config_.replica_fanout);
+    targets =
+        cache::ReplicaManager::SelectTargets(candidates, kQosReplicaFanout);
   } else {
     targets = peers_.Nodes();
   }
@@ -1153,7 +1145,7 @@ void BestPeerNode::OnCacheReplicaPush(const net::Message& msg) {
   // push is ignored, so a mixed fleet can't grow unmanaged copies.
   const bool leased = push->source_epoch != 0;
   if (leased && replica_mgr_ == nullptr) return;
-  SimTime cost = config_.fetch_per_object_cost *
+  SimTime cost = net::kFetchPerObjectCost *
                  static_cast<SimTime>(push->items.size());
   auto items = std::make_shared<std::vector<ResultItem>>(
       std::move(push->items));
@@ -1222,7 +1214,7 @@ void BestPeerNode::OnFetchRequest(const net::Message& msg) {
     if (!item.ok()) continue;
     response->items.push_back(std::move(item).value());
   }
-  SimTime cost = config_.fetch_per_object_cost *
+  SimTime cost = net::kFetchPerObjectCost *
                  static_cast<SimTime>(req->ids.size());
   NodeId requester = msg.src;
   transport_->RunCpu(
@@ -1261,31 +1253,7 @@ Status BestPeerNode::Reconfigure(uint64_t query_id) {
   if (it == sessions_.end()) {
     return Status::NotFound("unknown query " + std::to_string(query_id));
   }
-  auto observations = it->second.Observations();
-
-  if (config_.history_weight > 0) {
-    // Blend this query's answers into the per-node EWMA scores and rank
-    // by the blended score instead of the raw last-query count.
-    std::map<NodeId, bool> seen;
-    for (auto& obs : observations) {
-      double& score = answer_scores_[obs.node];
-      score = static_cast<double>(obs.answers) +
-              config_.history_weight * score;
-      obs.answers = static_cast<uint64_t>(score);
-      seen[obs.node] = true;
-    }
-    for (auto& [node, score] : answer_scores_) {
-      if (seen.count(node) != 0) continue;
-      score *= config_.history_weight;  // Stale favourites fade.
-      if (score < 0.5) continue;
-      PeerObservation ghost;
-      ghost.node = node;
-      ghost.answers = static_cast<uint64_t>(score);
-      ghost.hops = 1;
-      observations.push_back(ghost);
-    }
-  }
-
+  const auto observations = it->second.Observations();
   auto new_peers = strategy_->SelectPeers(observations, peers_.Nodes(),
                                           config_.max_direct_peers);
   ApplyPeerSet(new_peers, observations);
@@ -1395,11 +1363,9 @@ void BestPeerNode::OnActiveObjectRequest(const net::Message& msg) {
     }
   }
   NodeId requester = msg.src;
-  transport_->RunCpu(config_.result_handling_cost,
-                              [this, requester, response]() {
-                                SendCompressed(requester, kActiveObjRespType,
-                                               response->Encode());
-                              });
+  transport_->RunCpu(net::kResultHandlingCost, [this, requester, response]() {
+    SendCompressed(requester, kActiveObjRespType, response->Encode());
+  });
 }
 
 void BestPeerNode::OnActiveObjectResponse(const net::Message& msg) {

@@ -38,17 +38,14 @@ struct SharedInfra {
 };
 
 /// Registers the built-in agent classes (StormSearchAgent, ComputeAgent)
-/// in `registry` with code sizes from `config`. Idempotent per registry.
-Status RegisterBuiltinAgents(agent::AgentRegistry* registry,
-                             const BestPeerConfig& config);
+/// in `registry` with code size net::kAgentCodeBytes. Idempotent per
+/// registry.
+Status RegisterBuiltinAgents(agent::AgentRegistry* registry);
 
 /// One row of the telemetry plane's `/peers` endpoint: a direct peer's
 /// health record plus what this node has learned about it.
 struct PeerTelemetry {
   PeerInfo info;
-  /// EWMA answer score — the §3.3 history term the reconfiguration
-  /// strategies rank peers by (0 when no history yet).
-  double benefit_score = 0.0;
   /// Last known shared-store size (0 = unknown).
   size_t store_size_hint = 0;
 };
@@ -141,7 +138,7 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   const PeerList& peers() const { return peers_; }
   std::vector<NodeId> DirectPeerNodes() const { return peers_.Nodes(); }
 
-  /// Health, benefit and replication state for the telemetry plane.
+  /// Health and replication state for the telemetry plane.
   /// Call on the transport's execution thread (it reads protocol state).
   NodeTelemetry TelemetrySnapshot() const;
 
@@ -410,8 +407,6 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   std::map<uint64_t, ContentCallback> pending_content_;
   /// Last known store size per node, learned from search results.
   std::map<NodeId, size_t> store_size_hints_;
-  /// EWMA answer score per node (used when history_weight > 0).
-  std::map<NodeId, double> answer_scores_;
   uint32_t query_counter_ = 0;
   uint64_t request_counter_ = 0;
   uint64_t results_received_ = 0;

@@ -1,6 +1,7 @@
 #include "core/search_agent.h"
 
 #include "cache/result_cache.h"
+#include "net/cost_model.h"
 #include "storm/query_expr.h"
 #include "storm/storm.h"
 
@@ -10,8 +11,8 @@ void SearchAgent::SaveState(BinaryWriter& writer) const {
   writer.WriteU64(query_id_);
   writer.WriteString(keyword_);
   writer.WriteU8(static_cast<uint8_t>(mode_));
-  writer.WriteI64(per_object_cost_);
-  writer.WriteVarint(descriptor_bytes_);
+  writer.WriteI64(net::kPerObjectMatchCost);
+  writer.WriteVarint(net::kAnswerDescriptorBytes);
   // Trailing optional section: written only when some optional feature
   // is armed, so feature-off agent transfers stay byte-identical. The
   // leading byte is a flags bitmask; a cache-probe-only agent encodes
@@ -21,7 +22,7 @@ void SearchAgent::SaveState(BinaryWriter& writer) const {
   if (flags != 0) {
     writer.WriteU8(flags);
     if (cache_probe_) {
-      writer.WriteI64(probe_cost_);
+      writer.WriteI64(net::kCacheProbeCost);
       writer.WriteVarint(known_epochs_.size());
       for (const auto& [node, epoch] : known_epochs_) {
         writer.WriteU32(node);
@@ -29,7 +30,7 @@ void SearchAgent::SaveState(BinaryWriter& writer) const {
       }
     }
     if (use_index_) {
-      writer.WriteI64(per_posting_cost_);
+      writer.WriteI64(net::kPerPostingCost);
     }
   }
 }
@@ -40,9 +41,10 @@ Status SearchAgent::LoadState(BinaryReader& reader) {
   BP_ASSIGN_OR_RETURN(uint8_t mode, reader.ReadU8());
   if (mode != 1 && mode != 2) return Status::Corruption("bad answer mode");
   mode_ = static_cast<AnswerMode>(mode);
-  BP_ASSIGN_OR_RETURN(per_object_cost_, reader.ReadI64());
-  BP_ASSIGN_OR_RETURN(uint64_t descr, reader.ReadVarint());
-  descriptor_bytes_ = descr;
+  // The sender's per-object cost and descriptor size: read past, never
+  // used (this node charges its own cost model).
+  BP_RETURN_IF_ERROR(reader.ReadI64().status());
+  BP_RETURN_IF_ERROR(reader.ReadVarint().status());
   cache_probe_ = false;
   known_epochs_.clear();
   use_index_ = false;
@@ -53,7 +55,7 @@ Status SearchAgent::LoadState(BinaryReader& reader) {
     }
     cache_probe_ = (flags & kFlagCacheProbe) != 0;
     if (cache_probe_) {
-      BP_ASSIGN_OR_RETURN(probe_cost_, reader.ReadI64());
+      BP_RETURN_IF_ERROR(reader.ReadI64().status());  // Sender's cost.
       BP_ASSIGN_OR_RETURN(uint64_t n, reader.ReadVarint());
       for (uint64_t i = 0; i < n; ++i) {
         BP_ASSIGN_OR_RETURN(uint32_t node, reader.ReadU32());
@@ -63,7 +65,7 @@ Status SearchAgent::LoadState(BinaryReader& reader) {
     }
     use_index_ = (flags & kFlagIndexSearch) != 0;
     if (use_index_) {
-      BP_ASSIGN_OR_RETURN(per_posting_cost_, reader.ReadI64());
+      BP_RETURN_IF_ERROR(reader.ReadI64().status());  // Sender's cost.
     }
   }
   return Status::OK();
@@ -76,7 +78,7 @@ Result<std::vector<storm::ObjectId>> SearchAgent::FindMatches(
     size_t touched = 0;
     auto indexed = storage->IndexSearch(keyword_, &touched);
     if (indexed.ok()) {
-      ctx.ChargeCpu(static_cast<SimTime>(touched) * per_posting_cost_);
+      ctx.ChargeCpu(static_cast<SimTime>(touched) * net::kPerPostingCost);
       *store_size_hint = static_cast<uint32_t>(storage->object_count());
       return std::move(indexed).value();
     }
@@ -87,7 +89,7 @@ Result<std::vector<storm::ObjectId>> SearchAgent::FindMatches(
   BP_ASSIGN_OR_RETURN(storm::Storm::ScanResult scan,
                       storage->ScanSearch(keyword_));
   ctx.ChargeCpu(static_cast<SimTime>(scan.objects_scanned) *
-                per_object_cost_);
+                net::kPerObjectMatchCost);
   *store_size_hint = static_cast<uint32_t>(scan.objects_scanned);
   return std::move(scan.matches);
 }
@@ -116,7 +118,7 @@ Status SearchAgent::Execute(agent::AgentContext& ctx) {
         BP_ASSIGN_OR_RETURN(item.content, storage->Get(id));
       } else {
         // Mode 2: ship a fixed-size descriptor instead of the content.
-        item.name.resize(descriptor_bytes_, ' ');
+        item.name.resize(net::kAnswerDescriptorBytes, ' ');
       }
       result.items.push_back(std::move(item));
     }
@@ -143,7 +145,7 @@ Status SearchAgent::Execute(agent::AgentContext& ctx) {
     if (slice != nullptr) {
       matches = slice->ids;
       from_cache = true;
-      ctx.ChargeCpu(probe_cost_);
+      ctx.ChargeCpu(net::kCacheProbeCost);
     }
   }
   if (!from_cache) {
@@ -188,7 +190,7 @@ Status SearchAgent::Execute(agent::AgentContext& ctx) {
         if (!content.ok()) continue;
         item.content = std::move(content).value();
       } else {
-        item.name.resize(descriptor_bytes_, ' ');
+        item.name.resize(net::kAnswerDescriptorBytes, ' ');
       }
       result.items.push_back(std::move(item));
     }

@@ -22,19 +22,17 @@ inline constexpr std::string_view kSearchAgentClass = "StormSearchAgent";
 /// object in the shared StorM database against the query keyword, then
 /// sends the matches straight back to the base node (out-of-network).
 ///
-/// Carried state: query id, keyword, answer mode and the cost constants
-/// (an agent's code knows its own costs, so remote nodes need no
-/// coordination about them).
+/// Carried state: query id, keyword and answer mode. The encoding also
+/// carries the sender's cost-model values (per-object cost, descriptor
+/// size, and the probe / per-posting cost of an armed option), but the
+/// agent executes with the visited node's net/cost_model.h constants:
+/// LoadState reads the carried values and discards them, so a hostile
+/// sender cannot size a reply or set a node's CPU charge.
 class SearchAgent : public agent::Agent {
  public:
   SearchAgent() = default;
-  SearchAgent(uint64_t query_id, std::string keyword, AnswerMode mode,
-              SimTime per_object_cost, size_t descriptor_bytes)
-      : query_id_(query_id),
-        keyword_(std::move(keyword)),
-        mode_(mode),
-        per_object_cost_(per_object_cost),
-        descriptor_bytes_(descriptor_bytes) {}
+  SearchAgent(uint64_t query_id, std::string keyword, AnswerMode mode)
+      : query_id_(query_id), keyword_(std::move(keyword)), mode_(mode) {}
 
   std::string_view class_name() const override { return kSearchAgentClass; }
   void SaveState(BinaryWriter& writer) const override;
@@ -49,11 +47,9 @@ class SearchAgent : public agent::Agent {
   /// node it first probes the local result cache, and when the base's
   /// known epoch still matches the store it answers with a tiny
   /// "not-modified" reply instead of re-shipping the items.
-  void EnableCacheProbe(std::map<uint32_t, uint64_t> known_epochs,
-                        SimTime probe_cost) {
+  void EnableCacheProbe(std::map<uint32_t, uint64_t> known_epochs) {
     cache_probe_ = true;
     known_epochs_ = std::move(known_epochs);
-    probe_cost_ = probe_cost;
   }
 
   bool cache_probe_enabled() const { return cache_probe_; }
@@ -62,10 +58,7 @@ class SearchAgent : public agent::Agent {
   /// from Storm::IndexSearch (CPU charged per posting touched) instead
   /// of the full per-object scan. A node whose store has no index falls
   /// back to the scan path, so mixed fleets stay correct.
-  void EnableIndexSearch(SimTime per_posting_cost) {
-    use_index_ = true;
-    per_posting_cost_ = per_posting_cost;
-  }
+  void EnableIndexSearch() { use_index_ = true; }
 
   bool index_search_enabled() const { return use_index_; }
 
@@ -84,16 +77,12 @@ class SearchAgent : public agent::Agent {
   uint64_t query_id_ = 0;
   std::string keyword_;
   AnswerMode mode_ = AnswerMode::kDirect;
-  SimTime per_object_cost_ = Micros(15);
-  size_t descriptor_bytes_ = 64;
   /// Optional trailing state, serialized only when armed so cache-off
   /// agent transfers stay byte-identical to older builds.
   bool cache_probe_ = false;
-  SimTime probe_cost_ = Micros(5);
   std::map<uint32_t, uint64_t> known_epochs_;
   /// Index-path state (trailing section, bit kFlagIndexSearch).
   bool use_index_ = false;
-  SimTime per_posting_cost_ = Micros(1);
 };
 
 }  // namespace bestpeer::core

@@ -8,48 +8,45 @@ namespace {
 
 /// One-hop transfer time of `bytes` over the modelled LAN (uplink +
 /// propagation + downlink).
-SimTime TransferTime(size_t bytes, const net::LinkProfile& net) {
-  double per_nic = static_cast<double>(bytes) / net.bytes_per_us;
-  return static_cast<SimTime>(std::llround(2 * per_nic)) + net.latency;
+SimTime TransferTime(size_t bytes, const net::LinkProfile& link) {
+  double per_nic = static_cast<double>(bytes) / link.bytes_per_us;
+  return static_cast<SimTime>(std::llround(2 * per_nic)) + link.latency;
 }
 
 }  // namespace
 
 SimTime EstimateCodeShippingCost(const ShippingCostInputs& inputs,
-                                 const BestPeerConfig& config,
-                                 const net::LinkProfile& net) {
-  size_t outbound = inputs.agent_bytes + net.frame_overhead +
+                                 const net::LinkProfile& link) {
+  size_t outbound = inputs.agent_bytes + link.frame_overhead +
                     (inputs.class_cached ? 0 : inputs.class_bytes);
-  SimTime cost = TransferTime(outbound, net);
-  cost += config.agent_reconstruct_cost;
-  if (!inputs.class_cached) cost += config.agent_class_load_cost;
+  SimTime cost = TransferTime(outbound, link);
+  cost += net::kAgentReconstructCost;
+  if (!inputs.class_cached) cost += net::kAgentClassLoadCost;
   cost += static_cast<SimTime>(inputs.remote_objects) *
-          config.per_object_match_cost;
+          net::kPerObjectMatchCost;
   // Results come back; assume the small-descriptor case for estimation.
-  cost += TransferTime(net.frame_overhead + config.answer_descriptor_bytes,
-                       net);
+  cost += TransferTime(link.frame_overhead + net::kAnswerDescriptorBytes,
+                       link);
   return cost;
 }
 
 SimTime EstimateDataShippingCost(const ShippingCostInputs& inputs,
-                                 const BestPeerConfig& config,
-                                 const net::LinkProfile& net) {
+                                 const net::LinkProfile& link) {
   size_t store_bytes = inputs.remote_objects * inputs.object_size;
-  SimTime cost = TransferTime(net.frame_overhead + 64, net);  // Request.
+  SimTime cost = TransferTime(link.frame_overhead + 64, link);  // Request.
   cost += static_cast<SimTime>(inputs.remote_objects) *
-          config.fetch_per_object_cost;  // Remote read-out.
-  cost += TransferTime(store_bytes + net.frame_overhead, net);
+          net::kFetchPerObjectCost;  // Remote read-out.
+  cost += TransferTime(store_bytes + link.frame_overhead, link);
   cost += static_cast<SimTime>(inputs.remote_objects) *
-          config.per_object_match_cost;  // Local scan.
+          net::kPerObjectMatchCost;  // Local scan.
   return cost;
 }
 
 ShippingStrategy ChooseShippingStrategy(const ShippingCostInputs& inputs,
-                                        const BestPeerConfig& config,
-                                        const net::LinkProfile& net) {
+                                        const net::LinkProfile& link) {
   if (inputs.remote_objects == 0) return ShippingStrategy::kCodeShipping;
-  SimTime code = EstimateCodeShippingCost(inputs, config, net);
-  SimTime data = EstimateDataShippingCost(inputs, config, net);
+  SimTime code = EstimateCodeShippingCost(inputs, link);
+  SimTime data = EstimateDataShippingCost(inputs, link);
   return data < code ? ShippingStrategy::kDataShipping
                      : ShippingStrategy::kCodeShipping;
 }

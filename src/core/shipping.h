@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "core/config.h"
+#include "net/cost_model.h"
 #include "net/transport.h"
 #include "util/sim_time.h"
 
@@ -40,24 +40,22 @@ struct ShippingCostInputs {
   /// Serialized agent size (state + envelope) in bytes.
   size_t agent_bytes = 256;
   /// Agent class size in bytes (shipped on a cache miss).
-  size_t class_bytes = 16 * 1024;
+  size_t class_bytes = net::kAgentCodeBytes;
 };
 
-/// Estimated wall-clock to interrogate one peer by shipping the agent.
+/// Estimated wall-clock to interrogate one peer by shipping the agent,
+/// priced with the net/cost_model.h constants.
 SimTime EstimateCodeShippingCost(const ShippingCostInputs& inputs,
-                                 const BestPeerConfig& config,
-                                 const net::LinkProfile& net);
+                                 const net::LinkProfile& link);
 
 /// Estimated wall-clock to pull the peer's store and scan it locally.
 SimTime EstimateDataShippingCost(const ShippingCostInputs& inputs,
-                                 const BestPeerConfig& config,
-                                 const net::LinkProfile& net);
+                                 const net::LinkProfile& link);
 
 /// Picks the cheaper strategy; unknown store sizes default to code
 /// shipping (never pull an unbounded amount of data blindly).
 ShippingStrategy ChooseShippingStrategy(const ShippingCostInputs& inputs,
-                                        const BestPeerConfig& config,
-                                        const net::LinkProfile& net);
+                                        const net::LinkProfile& link);
 
 /// Human-readable names for logs and bench rows.
 std::string_view ShippingStrategyName(ShippingStrategy strategy);

@@ -8,6 +8,20 @@
 
 namespace bestpeer::liglo {
 
+namespace {
+
+/// Delay before the first resend; doubles with every further attempt.
+constexpr SimTime kRetryBackoff = Millis(200);
+
+/// +/- fraction of deterministic jitter applied to each backoff delay,
+/// de-synchronising clients that timed out together.
+constexpr double kRetryJitter = 0.2;
+
+/// Seed of the per-client jitter stream (mixed with the node id).
+constexpr uint64_t kJitterSeed = 0x1B07;
+
+}  // namespace
+
 LigloClient::LigloClient(net::Transport* transport,
                          net::Dispatcher* dispatcher, IpDirectory* ips,
                          LigloClientOptions options)
@@ -15,7 +29,7 @@ LigloClient::LigloClient(net::Transport* transport,
       node_(transport->local()),
       ips_(ips),
       options_(options),
-      jitter_rng_(options.jitter_seed ^
+      jitter_rng_(kJitterSeed ^
                   (static_cast<uint64_t>(node_) << 32 | node_)) {
   if (options_.metrics != nullptr) {
     metrics::Registry* reg = options_.metrics;
@@ -70,14 +84,11 @@ void LigloClient::ArmTimeout(uint64_t id) {
                                 .peer = p.server,
                                 .a = id,
                                 .b = static_cast<uint64_t>(p.attempt)});
-      SimTime delay = options_.retry_backoff * (SimTime{1} << (p.attempt - 1));
-      if (options_.retry_jitter > 0) {
-        const double spread =
-            1.0 - options_.retry_jitter +
-            2.0 * options_.retry_jitter * jitter_rng_.NextDouble();
-        delay = std::max<SimTime>(1, static_cast<SimTime>(
-                                         static_cast<double>(delay) * spread));
-      }
+      const SimTime backoff = kRetryBackoff * (SimTime{1} << (p.attempt - 1));
+      const double spread =
+          1.0 - kRetryJitter + 2.0 * kRetryJitter * jitter_rng_.NextDouble();
+      const SimTime delay = std::max<SimTime>(
+          1, static_cast<SimTime>(static_cast<double>(backoff) * spread));
       transport_->clock().ScheduleAfter(delay,
                                           [this, id]() { SendAttempt(id); });
       return;

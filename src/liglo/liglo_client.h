@@ -26,18 +26,9 @@ struct LigloClientOptions {
   /// Resends after a timeout for register/resolve/peers requests before
   /// the callback fails (update notices stay fire-once). 0 keeps the
   /// single-attempt behaviour; under message loss, retries are what let a
-  /// node (re)join at all.
+  /// node (re)join at all. Resends back off exponentially from 200 ms
+  /// with +/-20% deterministic jitter per client.
   int max_retries = 0;
-
-  /// Delay before the first resend; doubles with every further attempt.
-  SimTime retry_backoff = Millis(200);
-
-  /// +/- fraction of deterministic jitter applied to each backoff delay,
-  /// de-synchronising clients that timed out together.
-  double retry_jitter = 0.2;
-
-  /// Seed of the per-client jitter stream (mixed with the node id).
-  uint64_t jitter_seed = 0x1B07;
 
   /// Metrics sink (not owned; must outlive the client). nullptr routes
   /// increments to no-op handles.

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "net/cost_model.h"
 #include "util/logging.h"
 
 namespace bestpeer::liglo {
@@ -56,7 +57,7 @@ void LigloServer::OnPeers(const net::Message& msg) {
 
 void LigloServer::Reply(NodeId dst, uint32_t type, Bytes payload) {
   transport_->RunCpu(
-      options_.handling_cost,
+      net::kLigloHandlingCost,
       [this, dst, type, payload = std::move(payload)]() mutable {
         transport_->Send(dst, type, std::move(payload));
       });

@@ -15,7 +15,8 @@
 
 namespace bestpeer::liglo {
 
-/// LIGLO server knobs.
+/// LIGLO server knobs (every handled request charges
+/// net::kLigloHandlingCost).
 struct LigloServerOptions {
   /// Maximum members; 0 = unlimited. A full server rejects registrations
   /// (the node "has to seek another LIGLO", paper §3.4).
@@ -25,8 +26,6 @@ struct LigloServerOptions {
   /// Seed for sampling which online members are handed out as starter
   /// peers (a random sample, so early members don't become mega-hubs).
   uint64_t sample_seed = 1;
-  /// CPU charged per handled request.
-  SimTime handling_cost = Micros(300);
   /// Interval of the periodic address-validity sweep; 0 disables it.
   SimTime sweep_interval = 0;
   /// How long the sweep waits for a pong before marking a member offline.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "obs/json_writer.h"
+#include "util/json_writer.h"
 #include "util/stats.h"
 
 namespace bestpeer::obs {

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "obs/json_writer.h"
+#include "util/json_writer.h"
 
 namespace bestpeer::obs {
 

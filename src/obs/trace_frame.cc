@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "obs/critical_path.h"
-#include "obs/json_writer.h"
+#include "util/json_writer.h"
 
 namespace bestpeer::obs {
 

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "obs/json_reader.h"
-#include "obs/json_writer.h"
+#include "util/json_writer.h"
 #include "util/status.h"
 
 namespace bestpeer::scenario {
@@ -58,13 +58,13 @@ Status WriteQueryTrace(const QueryTrace& trace, const std::string& path) {
     return Status::IoError("cannot write query trace " + path);
   }
   std::fprintf(f, "{\"v\":1,\"scenario\":%s,\"seed\":%llu,\"queries\":%zu}\n",
-               obs::JsonQuoted(trace.scenario).c_str(),
+               JsonQuoted(trace.scenario).c_str(),
                static_cast<unsigned long long>(trace.seed),
                trace.queries.size());
   for (const TracedQuery& q : trace.queries) {
     std::fprintf(f, "{\"at_us\":%lld,\"node\":%zu,\"keyword\":%s}\n",
                  static_cast<long long>(q.at), q.node,
-                 obs::JsonQuoted(q.keyword).c_str());
+                 JsonQuoted(q.keyword).c_str());
   }
   if (std::fclose(f) != 0) {
     return Status::IoError("short write on query trace " + path);

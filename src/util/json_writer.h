@@ -1,12 +1,12 @@
-#ifndef BESTPEER_OBS_JSON_WRITER_H_
-#define BESTPEER_OBS_JSON_WRITER_H_
+#ifndef BESTPEER_UTIL_JSON_WRITER_H_
+#define BESTPEER_UTIL_JSON_WRITER_H_
 
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <string_view>
 
-namespace bestpeer::obs {
+namespace bestpeer {
 
 /// Appends `s` with JSON string escaping (quotes, backslash, control
 /// characters). Shared by every writer in the repo so no emitted string
@@ -48,13 +48,6 @@ inline void AppendJsonEscaped(std::string* out, std::string_view s) {
   }
 }
 
-inline std::string JsonEscaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  AppendJsonEscaped(&out, s);
-  return out;
-}
-
 /// `s` as a complete JSON string literal, surrounding quotes included.
 inline std::string JsonQuoted(std::string_view s) {
   std::string out;
@@ -88,6 +81,6 @@ inline std::string JsonNumber(double v) {
   return out;
 }
 
-}  // namespace bestpeer::obs
+}  // namespace bestpeer
 
-#endif  // BESTPEER_OBS_JSON_WRITER_H_
+#endif  // BESTPEER_UTIL_JSON_WRITER_H_

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 
+#include "util/json_writer.h"
 #include "util/stats.h"
 
 namespace bestpeer::metrics {
@@ -76,47 +77,6 @@ std::string EntryKey(const SnapshotEntry& e) {
     key += '}';
   }
   return key;
-}
-
-void AppendNumber(std::string* out, double v) {
-  // JSON has no nan/inf literal; null keeps the document parseable.
-  if (!std::isfinite(v)) {
-    *out += "null";
-    return;
-  }
-  // Integral values (the common case: counters, byte totals) print
-  // without a fraction so the JSON diffs cleanly across runs.
-  if (std::nearbyint(v) == v && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    *out += buf;
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    *out += buf;
-  }
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -702,24 +662,24 @@ std::string Snapshot::ToJson(int indent) const {
     out += i == 0 ? "\n" : ",\n";
     out += inner;
     out += '"';
-    AppendEscaped(&out, EntryKey(e));
+    AppendJsonEscaped(&out, EntryKey(e));
     out += "\": ";
     if (e.kind == InstrumentKind::kHistogram) {
       out += "{\"count\": ";
-      AppendNumber(&out, static_cast<double>(e.count));
+      AppendJsonNumber(&out, static_cast<double>(e.count));
       out += ", \"sum\": ";
-      AppendNumber(&out, e.value);
+      AppendJsonNumber(&out, e.value);
       out += ", \"min\": ";
-      AppendNumber(&out, e.min);
+      AppendJsonNumber(&out, e.min);
       out += ", \"max\": ";
-      AppendNumber(&out, e.max);
+      AppendJsonNumber(&out, e.max);
       out += ", \"mean\": ";
-      AppendNumber(&out, e.count == 0
-                             ? 0
-                             : e.value / static_cast<double>(e.count));
+      AppendJsonNumber(&out, e.count == 0
+                                 ? 0
+                                 : e.value / static_cast<double>(e.count));
       out += "}";
     } else {
-      AppendNumber(&out, e.value);
+      AppendJsonNumber(&out, e.value);
     }
   }
   if (!entries.empty()) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "util/hash.h"
+#include "util/json_writer.h"
 
 namespace bestpeer::trace {
 
@@ -13,14 +14,6 @@ namespace {
 /// Bound on the remembered-sampled-flow set; far above any realistic
 /// number of concurrently live queries.
 constexpr size_t kMaxRememberedFlows = 8192;
-
-/// Escapes the handful of characters that can appear in span names.
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
 
 }  // namespace
 
@@ -130,9 +123,9 @@ std::string TraceRecorder::ToChromeJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "  {\"name\": \"";
-    AppendEscaped(&out, s.name);
+    AppendJsonEscaped(&out, s.name);
     out += "\", \"cat\": \"";
-    AppendEscaped(&out, s.cat);
+    AppendJsonEscaped(&out, s.cat);
     out += "\", \"ph\": \"X\", \"pid\": 1";
     std::snprintf(buf, sizeof(buf),
                   ", \"tid\": %u, \"ts\": %" PRId64 ", \"dur\": %" PRId64,
@@ -143,7 +136,7 @@ std::string TraceRecorder::ToChromeJson() const {
     out += buf;
     for (const auto& [key, value] : s.args) {
       out += ", \"";
-      AppendEscaped(&out, key);
+      AppendJsonEscaped(&out, key);
       std::snprintf(buf, sizeof(buf), "\": %" PRIu64, value);
       out += buf;
     }

@@ -111,9 +111,7 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
   config.default_ttl = options.ttl;
   config.metrics = &world.registry();
   config.enable_result_cache = options.enable_result_cache;
-  config.result_cache_bytes = options.result_cache_bytes;
   config.enable_replication = options.enable_replication;
-  config.replica_hot_threshold = options.replica_hot_threshold;
   config.replica_top_k = options.replica_top_k;
   // RunUntilIdle between queries drains every pending timer, so a finite
   // TTL would always expire replicas before the next query could benefit;
@@ -126,7 +124,6 @@ Result<ExperimentResult> RunBestPeer(const ExperimentOptions& options) {
   config.gossip_interval = options.gossip_interval;
   config.gossip_seed = options.seed;
   config.qos_replica_placement = options.qos_replica_placement;
-  config.replica_fanout = options.replica_fanout;
   options.fault.ApplyTo(&config);
 
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;

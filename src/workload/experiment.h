@@ -90,9 +90,7 @@ struct ExperimentOptions {
   /// Result-cache & hot-answer replication knobs (BestPeer schemes only;
   /// they map onto the matching BestPeerConfig fields).
   bool enable_result_cache = false;
-  size_t result_cache_bytes = 256 * 1024;
   bool enable_replication = false;
-  uint32_t replica_hot_threshold = 3;
   size_t replica_top_k = 4;
   SimTime replica_ttl = 0;  ///< Receiver-side replica lifetime (0 = none).
 
@@ -103,10 +101,9 @@ struct ExperimentOptions {
   size_t gossip_fanout = 2;
   SimTime gossip_interval = Millis(2);
 
-  /// QoS-scored replica placement (replica_fanout best peers instead of
-  /// a direct-neighbor broadcast).
+  /// QoS-scored replica placement (the best-scored peers instead of a
+  /// direct-neighbor broadcast).
   bool qos_replica_placement = false;
-  size_t replica_fanout = 2;
 
   /// Fault injection & recovery (shared knob block; defaults keep the
   /// fault machinery entirely out of the run — bit-identical schedules).

@@ -296,7 +296,6 @@ TEST(CacheWorkloadTest, CacheRunsAreDeterministic) {
   workload::ExperimentOptions options = ZipfWorkload();
   options.enable_result_cache = true;
   options.enable_replication = true;
-  options.replica_hot_threshold = 3;
   auto a = workload::RunExperiment(options);
   auto b = workload::RunExperiment(options);
   ASSERT_TRUE(a.ok() && b.ok());

@@ -239,15 +239,10 @@ TEST(ReplicaManagerTest, ExpiryGenerationGuard) {
   EXPECT_EQ(mgr.replica_count(), 0u);
 }
 
-TEST(ReplicaManagerTest, QosScoreOrdersByBenefitRttAndFailures) {
+TEST(ReplicaManagerTest, QosScoreOrdersByRttFailuresAndBandwidth) {
   PeerQoS base;  // Neutral: no history, default bandwidth.
   const double neutral = ReplicaManager::Score(base);
   EXPECT_GT(neutral, 0.0);
-
-  PeerQoS good = base;
-  good.benefit = 4;
-  EXPECT_GT(ReplicaManager::Score(good), neutral)
-      << "answer-benefit must raise the placement score";
 
   PeerQoS slow = base;
   slow.rtt_us = 5000;
@@ -266,11 +261,15 @@ TEST(ReplicaManagerTest, QosScoreOrdersByBenefitRttAndFailures) {
   PeerQoS narrow = base;
   narrow.bandwidth_bytes_per_us = base.bandwidth_bytes_per_us / 4;
   EXPECT_LT(ReplicaManager::Score(narrow), neutral);
+  PeerQoS wide = base;
+  wide.bandwidth_bytes_per_us = base.bandwidth_bytes_per_us * 4;
+  EXPECT_GT(ReplicaManager::Score(wide), neutral)
+      << "link bandwidth must raise the placement score";
 }
 
 TEST(ReplicaManagerTest, SelectTargetsIsDeterministicTopByScore) {
   PeerQoS strong;
-  strong.benefit = 10;
+  strong.bandwidth_bytes_per_us = 125;
   PeerQoS weak;
   weak.rtt_us = 20000;
   weak.failures = 3;

@@ -541,41 +541,6 @@ TEST_F(CoreNodeFixture, QueryCacheSpeedsRepeatedSearches) {
   EXPECT_EQ(nodes_[1]->storage()->query_cache_hits(), 1u);
 }
 
-TEST_F(CoreNodeFixture, HistoryWeightStabilizesPeerSet) {
-  // Node 2 is a consistently good answerer; node 3 answers only once
-  // (its objects are deleted after the first query). With history
-  // weighting, node 2 must stay a direct peer even in the round where a
-  // one-off outlier (node 3) happens to answer more.
-  BestPeerConfig config;
-  config.max_direct_peers = 1;
-  config.strategy = "maxcount";
-  config.history_weight = 0.8;
-  Build(4, {{0, 1}, {1, 2}, {1, 3}}, config);
-  Fill(2, 20, 5);
-  Fill(3, 20, 8);
-
-  // Query 1: node 3 answers more and would win a memory-less ranking in
-  // every round; run a couple of rounds to accumulate history for 2.
-  for (int round = 0; round < 2; ++round) {
-    uint64_t qid = nodes_[0]->IssueSearch("needle").value();
-    sim_.RunUntilIdle();
-    ASSERT_TRUE(nodes_[0]->Reconfigure(qid).ok());
-    sim_.RunUntilIdle();
-  }
-  // Node 3 goes silent: delete its matching objects.
-  for (size_t i = 0; i < 8; ++i) {
-    nodes_[3]->storage()->Delete((static_cast<uint64_t>(3) << 24) | i).ok();
-  }
-  // Two more rounds: history decays 3's score; 2 takes over and stays.
-  for (int round = 0; round < 2; ++round) {
-    uint64_t qid = nodes_[0]->IssueSearch("needle").value();
-    sim_.RunUntilIdle();
-    ASSERT_TRUE(nodes_[0]->Reconfigure(qid).ok());
-    sim_.RunUntilIdle();
-  }
-  EXPECT_EQ(nodes_[0]->DirectPeerNodes(), (std::vector<NodeId>{ids_[2]}));
-}
-
 TEST_F(CoreNodeFixture, CompressionShrinksWireBytes) {
   BestPeerConfig lzss;
   lzss.codec = "lzss";

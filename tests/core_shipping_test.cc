@@ -16,38 +16,34 @@ namespace {
 // ---------------------------------------------------------------- cost model
 
 TEST(ShippingCostTest, TinyStoreFavorsDataShipping) {
-  BestPeerConfig config;
   net::LinkProfile link;
   ShippingCostInputs inputs;
   inputs.remote_objects = 2;
   inputs.object_size = 1024;
   inputs.class_cached = true;
-  EXPECT_EQ(ChooseShippingStrategy(inputs, config, link),
+  EXPECT_EQ(ChooseShippingStrategy(inputs, link),
             ShippingStrategy::kDataShipping);
 }
 
 TEST(ShippingCostTest, LargeStoreFavorsCodeShipping) {
-  BestPeerConfig config;
   net::LinkProfile link;
   ShippingCostInputs inputs;
   inputs.remote_objects = 1000;
   inputs.object_size = 1024;
   inputs.class_cached = true;
-  EXPECT_EQ(ChooseShippingStrategy(inputs, config, link),
+  EXPECT_EQ(ChooseShippingStrategy(inputs, link),
             ShippingStrategy::kCodeShipping);
 }
 
 TEST(ShippingCostTest, UnknownStoreDefaultsToCode) {
-  BestPeerConfig config;
   net::LinkProfile link;
   ShippingCostInputs inputs;
   inputs.remote_objects = 0;
-  EXPECT_EQ(ChooseShippingStrategy(inputs, config, link),
+  EXPECT_EQ(ChooseShippingStrategy(inputs, link),
             ShippingStrategy::kCodeShipping);
 }
 
 TEST(ShippingCostTest, ColdClassCacheShiftsCrossover) {
-  BestPeerConfig config;
   net::LinkProfile link;
   // Find a store size where the warm-cache choice is code shipping but
   // the cold-cache choice (16 KB class + 8 ms load) is data shipping.
@@ -58,9 +54,9 @@ TEST(ShippingCostTest, ColdClassCacheShiftsCrossover) {
     warm.class_cached = true;
     ShippingCostInputs cold = warm;
     cold.class_cached = false;
-    if (ChooseShippingStrategy(warm, config, link) ==
+    if (ChooseShippingStrategy(warm, link) ==
             ShippingStrategy::kCodeShipping &&
-        ChooseShippingStrategy(cold, config, link) ==
+        ChooseShippingStrategy(cold, link) ==
             ShippingStrategy::kDataShipping) {
       found = true;
       break;
@@ -70,14 +66,13 @@ TEST(ShippingCostTest, ColdClassCacheShiftsCrossover) {
 }
 
 TEST(ShippingCostTest, EstimatesAreMonotonicInStoreSize) {
-  BestPeerConfig config;
   net::LinkProfile link;
   SimTime prev_code = 0, prev_data = 0;
   for (size_t objects : {1, 10, 100, 1000}) {
     ShippingCostInputs inputs;
     inputs.remote_objects = objects;
-    SimTime code = EstimateCodeShippingCost(inputs, config, link);
-    SimTime data = EstimateDataShippingCost(inputs, config, link);
+    SimTime code = EstimateCodeShippingCost(inputs, link);
+    SimTime data = EstimateDataShippingCost(inputs, link);
     EXPECT_GT(code, prev_code);
     EXPECT_GT(data, prev_data);
     prev_code = code;

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 
+#include "core/compute.h"
 #include "core/node.h"
 #include "core/search_agent.h"
 #include "net/sim_transport.h"
@@ -13,6 +17,7 @@
 #include "storm/keyword_index.h"
 #include "storm/pager.h"
 #include "util/logging.h"
+#include "util/metrics.h"
 
 namespace bestpeer {
 namespace {
@@ -205,6 +210,122 @@ TEST_F(EdgeFixture, IssueDirectSearchWithNoPeers) {
           .value();
   sim_.RunUntilIdle();
   EXPECT_EQ(loner->FindSession(qid)->total_indicated(), 0u);
+}
+
+// ---------------------------------------------------------------- agent state
+
+/// An agent that ships caller-written state under a built-in class name,
+/// so a test can send the cost fields a hostile sender would put there.
+class RawStateAgent : public agent::Agent {
+ public:
+  RawStateAgent(std::string_view class_name,
+                std::function<void(BinaryWriter&)> write)
+      : class_name_(class_name), write_(std::move(write)) {}
+
+  std::string_view class_name() const override { return class_name_; }
+  void SaveState(BinaryWriter& writer) const override { write_(writer); }
+  Status LoadState(BinaryReader&) override { return Status::OK(); }
+  Status Execute(agent::AgentContext&) override { return Status::OK(); }
+
+ private:
+  std::string_view class_name_;
+  std::function<void(BinaryWriter&)> write_;
+};
+
+/// SearchAgent::SaveState's field order: query id, keyword, answer mode,
+/// per-object cost, descriptor size.
+std::function<void(BinaryWriter&)> SearchState(SimTime per_object_cost,
+                                               uint64_t descriptor_bytes) {
+  return [=](BinaryWriter& w) {
+    w.WriteU64(7);
+    w.WriteString("needle");
+    w.WriteU8(static_cast<uint8_t>(core::AnswerMode::kIndicate));
+    w.WriteI64(per_object_cost);
+    w.WriteVarint(descriptor_bytes);
+  };
+}
+
+/// ComputeAgent::SaveState's field order: query id, filter, parameters,
+/// per-object cost.
+std::function<void(BinaryWriter&)> ComputeState(SimTime per_object_cost) {
+  return [=](BinaryWriter& w) {
+    w.WriteU64(7);
+    w.WriteString("keep");
+    w.WriteBytes(Bytes{});
+    w.WriteI64(per_object_cost);
+  };
+}
+
+struct AgentVisit {
+  uint64_t peer_bytes_sent = 0;
+  uint64_t cpu_busy_us = 0;
+};
+
+/// Launches one agent from a base node at a peer holding 10 matching
+/// objects, and reports what the peer sent and the CPU the fleet charged.
+AgentVisit VisitPeer(std::string_view class_name,
+                     std::function<void(BinaryWriter&)> state) {
+  sim::Simulator simulator;
+  metrics::Registry registry;
+  sim::NetworkOptions net_options;
+  net_options.metrics = &registry;
+  sim::SimNetwork network(&simulator, net_options);
+  net::SimTransportFleet fleet(&network);
+  core::SharedInfra infra;
+  auto base =
+      core::BestPeerNode::Create(fleet.AddNode(), &infra, {}).value();
+  auto peer =
+      core::BestPeerNode::Create(fleet.AddNode(), &infra, {}).value();
+  EXPECT_TRUE(peer->InitStorage({}).ok());
+  for (uint64_t id = 1; id <= 10; ++id) {
+    EXPECT_TRUE(
+        peer->ShareObject(id, ToBytes("needle " + std::to_string(id))).ok());
+  }
+  EXPECT_TRUE(peer->mutable_filters()
+                  .Register("keep",
+                            [](const Bytes& object,
+                               const Bytes&) -> Result<Bytes> {
+                              return object;
+                            })
+                  .ok());
+  base->AddDirectPeerLocal(peer->node());
+  peer->AddDirectPeerLocal(base->node());
+
+  RawStateAgent agent(class_name, std::move(state));
+  EXPECT_TRUE(
+      base->agent_runtime().Launch(1, agent, /*ttl=*/1, {peer->node()}).ok());
+  simulator.RunUntilIdle();
+  EXPECT_EQ(peer->agent_runtime().agents_executed(), 1u);
+  return {network.node_bytes_sent(peer->node()),
+          registry.GetCounter("cpu.busy_us")->value()};
+}
+
+void ExpectSameVisit(const AgentVisit& hostile, const AgentVisit& honest) {
+  EXPECT_EQ(hostile.peer_bytes_sent, honest.peer_bytes_sent);
+  EXPECT_EQ(hostile.cpu_busy_us, honest.cpu_busy_us);
+}
+
+TEST(AgentStateEdgeTest, CarriedCostsDoNotSteerTheReceivingNode) {
+  // The visited node charges its own cost model: an agent whose state
+  // carries a 1 MiB descriptor size or a negative per-object cost gets
+  // exactly the reply and the CPU an honest agent gets.
+  const AgentVisit honest = VisitPeer(
+      core::kSearchAgentClass, SearchState(Micros(15), /*descriptor=*/64));
+  EXPECT_GT(honest.peer_bytes_sent, 0u);
+  EXPECT_GT(honest.cpu_busy_us, 0u);
+  ExpectSameVisit(
+      VisitPeer(core::kSearchAgentClass, SearchState(Micros(15), 1 << 20)),
+      honest);
+  ExpectSameVisit(
+      VisitPeer(core::kSearchAgentClass, SearchState(Seconds(-10), 64)),
+      honest);
+
+  const AgentVisit honest_compute =
+      VisitPeer(core::kComputeAgentClass, ComputeState(Micros(30)));
+  EXPECT_GT(honest_compute.peer_bytes_sent, 0u);
+  ExpectSameVisit(
+      VisitPeer(core::kComputeAgentClass, ComputeState(Seconds(-10))),
+      honest_compute);
 }
 
 // ---------------------------------------------------------------- logging

@@ -499,7 +499,6 @@ ExperimentOptions MutatingZipfWorkload() {
   options.mutate_every = 2;
   options.enable_result_cache = true;
   options.enable_replication = true;
-  options.replica_hot_threshold = 3;
   return options;
 }
 

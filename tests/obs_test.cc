@@ -12,8 +12,8 @@
 #include "obs/critical_path.h"
 #include "obs/flight_recorder.h"
 #include "obs/json_reader.h"
-#include "obs/json_writer.h"
 #include "obs/timeseries.h"
+#include "util/json_writer.h"
 #include "util/metrics.h"
 #include "workload/churn.h"
 #include "workload/experiment.h"
@@ -156,12 +156,12 @@ TEST(JsonReaderTest, RejectsMalformedInput) {
 
 TEST(JsonReaderTest, RoundTripsWriterEscapes) {
   const std::string ugly = "line\nbreak \"quoted\" back\\slash \t";
-  auto v = obs::ParseJson(obs::JsonQuoted(ugly));
+  auto v = obs::ParseJson(JsonQuoted(ugly));
   ASSERT_TRUE(v.ok()) << v.status().ToString();
   EXPECT_EQ(v->AsString(), ugly);
   // Non-finite numbers become null, keeping documents parseable.
-  EXPECT_EQ(obs::JsonNumber(std::nan("")), "null");
-  EXPECT_EQ(obs::JsonNumber(1.0 / 0.0), "null");
+  EXPECT_EQ(JsonNumber(std::nan("")), "null");
+  EXPECT_EQ(JsonNumber(1.0 / 0.0), "null");
 }
 
 // --- bench diff -----------------------------------------------------------

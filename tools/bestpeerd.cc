@@ -57,10 +57,10 @@
 #include "net/dispatcher.h"
 #include "net/tcp_transport.h"
 #include "obs/flight_recorder.h"
-#include "obs/json_writer.h"
 #include "obs/stat_frame.h"
 #include "obs/telemetry_server.h"
 #include "obs/trace_frame.h"
+#include "util/json_writer.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 #include "workload/corpus.h"
@@ -132,31 +132,30 @@ std::string PeersJson(
     core::NodeTelemetry t = node->TelemetrySnapshot();
     if (!first_node) out += ",\n";
     first_node = false;
-    out += "  \"" + obs::JsonNumber(node->node()) + "\": {\"bpid\": " +
-           obs::JsonQuoted(node->bpid().ToString()) +
-           ", \"capacity\": " + obs::JsonNumber(t.peer_capacity) +
-           ", \"sessions_inflight\": " + obs::JsonNumber(t.sessions_inflight) +
-           ", \"peer_evictions\": " + obs::JsonNumber(t.peer_evictions) +
-           ", \"reconfigurations\": " + obs::JsonNumber(t.reconfigurations) +
-           ", \"replica_leases\": " + obs::JsonNumber(t.replica_leases) +
+    out += "  \"" + JsonNumber(node->node()) + "\": {\"bpid\": " +
+           JsonQuoted(node->bpid().ToString()) +
+           ", \"capacity\": " + JsonNumber(t.peer_capacity) +
+           ", \"sessions_inflight\": " + JsonNumber(t.sessions_inflight) +
+           ", \"peer_evictions\": " + JsonNumber(t.peer_evictions) +
+           ", \"reconfigurations\": " + JsonNumber(t.reconfigurations) +
+           ", \"replica_leases\": " + JsonNumber(t.replica_leases) +
            ", \"replica_promotions\": " +
-           obs::JsonNumber(t.replica_promotions) +
-           ", \"replica_pushes\": " + obs::JsonNumber(t.replica_pushes) +
-           ", \"replicas_stored\": " + obs::JsonNumber(t.replicas_stored) +
+           JsonNumber(t.replica_promotions) +
+           ", \"replica_pushes\": " + JsonNumber(t.replica_pushes) +
+           ", \"replicas_stored\": " + JsonNumber(t.replicas_stored) +
            ",\n    \"peers\": [";
     bool first_peer = true;
     for (const core::PeerTelemetry& p : t.peers) {
       out += first_peer ? "\n" : ",\n";
       first_peer = false;
-      out += "      {\"node\": " + obs::JsonNumber(p.info.node) +
-             ", \"bpid\": " + obs::JsonQuoted(p.info.bpid.ToString()) +
-             ", \"total_answers\": " + obs::JsonNumber(p.info.total_answers) +
-             ", \"last_answers\": " + obs::JsonNumber(p.info.last_answers) +
-             ", \"last_hops\": " + obs::JsonNumber(p.info.last_hops) +
+      out += "      {\"node\": " + JsonNumber(p.info.node) +
+             ", \"bpid\": " + JsonQuoted(p.info.bpid.ToString()) +
+             ", \"total_answers\": " + JsonNumber(p.info.total_answers) +
+             ", \"last_answers\": " + JsonNumber(p.info.last_answers) +
+             ", \"last_hops\": " + JsonNumber(p.info.last_hops) +
              ", \"consecutive_failures\": " +
-             obs::JsonNumber(p.info.consecutive_failures) +
-             ", \"benefit_score\": " + obs::JsonNumber(p.benefit_score) +
-             ", \"store_size_hint\": " + obs::JsonNumber(p.store_size_hint) +
+             JsonNumber(p.info.consecutive_failures) +
+             ", \"store_size_hint\": " + JsonNumber(p.store_size_hint) +
              "}";
     }
     out += first_peer ? "]}" : "\n    ]}";
@@ -174,28 +173,28 @@ std::string CacheJson(
   for (const auto& node : nodes) {
     if (!first) out += ",\n";
     first = false;
-    out += "  \"" + obs::JsonNumber(node->node()) + "\": ";
+    out += "  \"" + JsonNumber(node->node()) + "\": ";
     cache::ResultCache* cache = node->result_cache();
     if (cache == nullptr) {
       out += "{\"enabled\": false}";
       continue;
     }
     const uint64_t probes = cache->hits() + cache->misses();
-    out += "{\"enabled\": true, \"hits\": " + obs::JsonNumber(cache->hits()) +
-           ", \"misses\": " + obs::JsonNumber(cache->misses()) +
+    out += "{\"enabled\": true, \"hits\": " + JsonNumber(cache->hits()) +
+           ", \"misses\": " + JsonNumber(cache->misses()) +
            ", \"hit_rate\": " +
-           obs::JsonNumber(probes == 0 ? 0.0
+           JsonNumber(probes == 0 ? 0.0
                                        : static_cast<double>(cache->hits()) /
                                              static_cast<double>(probes)) +
-           ", \"insertions\": " + obs::JsonNumber(cache->insertions()) +
-           ", \"evictions\": " + obs::JsonNumber(cache->evictions()) +
-           ", \"invalidations\": " + obs::JsonNumber(cache->invalidations()) +
+           ", \"insertions\": " + JsonNumber(cache->insertions()) +
+           ", \"evictions\": " + JsonNumber(cache->evictions()) +
+           ", \"invalidations\": " + JsonNumber(cache->invalidations()) +
            ", \"admission_rejected\": " +
-           obs::JsonNumber(cache->admission_rejected()) +
-           ", \"bytes_used\": " + obs::JsonNumber(cache->bytes_used()) +
-           ", \"entries\": " + obs::JsonNumber(cache->entry_count()) +
-           ", \"slices\": " + obs::JsonNumber(cache->slice_count()) +
-           ", \"remote_hits\": " + obs::JsonNumber(node->cache_remote_hits()) +
+           JsonNumber(cache->admission_rejected()) +
+           ", \"bytes_used\": " + JsonNumber(cache->bytes_used()) +
+           ", \"entries\": " + JsonNumber(cache->entry_count()) +
+           ", \"slices\": " + JsonNumber(cache->slice_count()) +
+           ", \"remote_hits\": " + JsonNumber(node->cache_remote_hits()) +
            "}";
   }
   out += "\n}\n";
@@ -212,21 +211,21 @@ std::string GossipJson(
   for (const auto& node : nodes) {
     if (!first) out += ",\n";
     first = false;
-    out += "  \"" + obs::JsonNumber(node->node()) + "\": ";
+    out += "  \"" + JsonNumber(node->node()) + "\": ";
     const gossip::GossipAgent* agent = node->gossip_agent();
     if (agent == nullptr) {
       out += "{\"enabled\": false}";
       continue;
     }
     out += "{\"enabled\": true, \"rounds\": " +
-           obs::JsonNumber(agent->rounds()) +
-           ", \"frames_sent\": " + obs::JsonNumber(agent->frames_sent()) +
+           JsonNumber(agent->rounds()) +
+           ", \"frames_sent\": " + JsonNumber(agent->frames_sent()) +
            ", \"frames_received\": " +
-           obs::JsonNumber(agent->frames_received()) +
-           ", \"items_applied\": " + obs::JsonNumber(agent->items_applied()) +
-           ", \"duplicates\": " + obs::JsonNumber(agent->duplicates()) +
-           ", \"decode_errors\": " + obs::JsonNumber(agent->decode_errors()) +
-           ", \"known_items\": " + obs::JsonNumber(agent->known_items()) +
+           JsonNumber(agent->frames_received()) +
+           ", \"items_applied\": " + JsonNumber(agent->items_applied()) +
+           ", \"duplicates\": " + JsonNumber(agent->duplicates()) +
+           ", \"decode_errors\": " + JsonNumber(agent->decode_errors()) +
+           ", \"known_items\": " + JsonNumber(agent->known_items()) +
            ", \"quiescent\": " +
            std::string(agent->quiescent() ? "true" : "false") +
            ",\n    \"epochs\": {";
@@ -234,7 +233,7 @@ std::string GossipJson(
     for (const auto& [origin, epoch] : agent->KnownEpochs()) {
       if (!first_epoch) out += ", ";
       first_epoch = false;
-      out += "\"" + obs::JsonNumber(origin) + "\": " + obs::JsonNumber(epoch);
+      out += "\"" + JsonNumber(origin) + "\": " + JsonNumber(epoch);
     }
     out += "}}";
   }
@@ -246,24 +245,24 @@ std::string GossipJson(
 std::string FlightJson(const obs::FlightRecorder& flight, size_t n) {
   std::vector<obs::FlightEvent> events = flight.Events();
   const size_t start = events.size() > n ? events.size() - n : 0;
-  std::string out = "{\"recorded\": " + obs::JsonNumber(flight.recorded()) +
-                    ", \"dropped\": " + obs::JsonNumber(
+  std::string out = "{\"recorded\": " + JsonNumber(flight.recorded()) +
+                    ", \"dropped\": " + JsonNumber(
                         flight.dropped_events()) +
                     ", \"returned\": " +
-                    obs::JsonNumber(events.size() - start) +
+                    JsonNumber(events.size() - start) +
                     ", \"events\": [";
   for (size_t i = start; i < events.size(); ++i) {
     const obs::FlightEvent& e = events[i];
     out += i == start ? "\n" : ",\n";
-    out += "  {\"ts\": " + obs::JsonNumber(e.ts) + ", \"type\": " +
-           obs::JsonQuoted(obs::EventTypeName(e.type)) + ", \"cause\": " +
-           obs::JsonQuoted(obs::DropCauseName(e.cause)) +
-           ", \"msg_type\": " + obs::JsonNumber(e.msg_type) +
-           ", \"node\": " + obs::JsonNumber(e.node) +
-           ", \"peer\": " + obs::JsonNumber(e.peer) +
-           ", \"flow\": " + obs::JsonNumber(e.flow) +
-           ", \"a\": " + obs::JsonNumber(e.a) +
-           ", \"b\": " + obs::JsonNumber(e.b) + "}";
+    out += "  {\"ts\": " + JsonNumber(e.ts) + ", \"type\": " +
+           JsonQuoted(obs::EventTypeName(e.type)) + ", \"cause\": " +
+           JsonQuoted(obs::DropCauseName(e.cause)) +
+           ", \"msg_type\": " + JsonNumber(e.msg_type) +
+           ", \"node\": " + JsonNumber(e.node) +
+           ", \"peer\": " + JsonNumber(e.peer) +
+           ", \"flow\": " + JsonNumber(e.flow) +
+           ", \"a\": " + JsonNumber(e.a) +
+           ", \"b\": " + JsonNumber(e.b) + "}";
   }
   out += events.size() > start ? "\n]}\n" : "]}\n";
   return out;

@@ -29,8 +29,8 @@
 
 #include "obs/critical_path.h"
 #include "obs/json_reader.h"
-#include "obs/json_writer.h"
 #include "obs/telemetry_server.h"
+#include "util/json_writer.h"
 #include "util/trace.h"
 
 namespace {
@@ -138,9 +138,9 @@ std::string ChromeJson(const std::vector<trace::Span>& spans) {
     const trace::Span& s = spans[i];
     out += i == 0 ? "\n" : ",\n";
     out += "  {\"name\": \"";
-    obs::AppendJsonEscaped(&out, s.name);
+    AppendJsonEscaped(&out, s.name);
     out += "\", \"cat\": \"";
-    obs::AppendJsonEscaped(&out, s.cat);
+    AppendJsonEscaped(&out, s.cat);
     std::snprintf(buf, sizeof(buf),
                   "\", \"ph\": \"X\", \"pid\": 0, \"tid\": %u, \"ts\": %" PRId64
                   ", \"dur\": %" PRId64,
@@ -151,7 +151,7 @@ std::string ChromeJson(const std::vector<trace::Span>& spans) {
     out += buf;
     for (const auto& [key, value] : s.args) {
       out += ", \"";
-      obs::AppendJsonEscaped(&out, key);
+      AppendJsonEscaped(&out, key);
       std::snprintf(buf, sizeof(buf), "\": %" PRIu64, value);
       out += buf;
     }
