@@ -22,13 +22,13 @@ AgentRuntime::AgentRuntime(net::Transport* transport,
   transport_->RegisterTypeName(kAgentTransferType, "agent.migrate");
   if (options_.metrics != nullptr) {
     metrics::Registry* reg = options_.metrics;
-    received_c_ = reg->GetCounter("agent.received");
-    duplicates_c_ = reg->GetCounter("agent.duplicates_dropped");
-    executed_c_ = reg->GetCounter("agent.executed");
-    migrations_c_ = reg->GetCounter("agent.migrations");
+    agents_received_.set_total(reg->GetCounter("agent.received"));
+    duplicates_dropped_.set_total(reg->GetCounter("agent.duplicates_dropped"));
+    agents_executed_.set_total(reg->GetCounter("agent.executed"));
+    clones_sent_.set_total(reg->GetCounter("agent.migrations"));
     ttl_deaths_c_ = reg->GetCounter("agent.ttl_deaths");
     class_loads_c_ = reg->GetCounter("agent.class_loads");
-    expired_c_ = reg->GetCounter("agent.expired");
+    seen_expired_.set_total(reg->GetCounter("agent.expired"));
     serialize_bytes_c_ = reg->GetCounter("agent.serialize_bytes");
     reconstruct_us_c_ = reg->GetCounter("agent.reconstruct_us");
     hops_at_execute_ = reg->GetHistogram("agent.hops_at_execute");
@@ -51,8 +51,7 @@ Status AgentRuntime::SendAgentTo(NodeId dst, const AgentMessage& msg) {
                             .flow = msg.agent_id,
                             .a = msg.hops,
                             .b = extra});
-  ++clones_sent_;
-  migrations_c_->Increment();
+  clones_sent_.Increment();
   return Status::OK();
 }
 
@@ -96,8 +95,7 @@ Status AgentRuntime::ExecuteIncoming(const AgentMessage& msg) {
 
   AgentContext ctx(host_, node_, msg.origin, msg.hops, msg.ttl);
   BP_RETURN_IF_ERROR(agent->Execute(ctx));
-  ++agents_executed_;
-  executed_c_->Increment();
+  agents_executed_.Increment();
   hops_at_execute_->Observe(static_cast<double>(msg.hops));
 
   SimTime total = setup + ctx.cpu_cost();
@@ -162,8 +160,7 @@ void AgentRuntime::PruneSeen() {
       // never comes back to deregister itself — age its record out so
       // the table stays bounded under churn and faults.
       it = seen_.erase(it);
-      ++seen_expired_;
-      expired_c_->Increment();
+      seen_expired_.Increment();
     } else {
       ++it;
     }
@@ -176,16 +173,14 @@ Status AgentRuntime::OnMessage(const net::Message& msg) {
   }
   BP_ASSIGN_OR_RETURN(Bytes decoded, options_.codec->Decompress(msg.payload));
   BP_ASSIGN_OR_RETURN(AgentMessage agent_msg, AgentMessage::Decode(decoded));
-  ++agents_received_;
-  received_c_->Increment();
+  agents_received_.Increment();
 
   PruneSeen();
   auto [it, inserted] =
       seen_.emplace(agent_msg.agent_id, transport_->clock().now());
   if (!inserted) {
     it->second = transport_->clock().now();  // Refresh: still circulating.
-    ++duplicates_dropped_;
-    duplicates_c_->Increment();
+    duplicates_dropped_.Increment();
     return Status::OK();
   }
   Forward(agent_msg, msg.src);

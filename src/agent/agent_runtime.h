@@ -76,12 +76,12 @@ class AgentRuntime {
   Status OnMessage(const net::Message& msg);
 
   /// Statistics.
-  uint64_t agents_received() const { return agents_received_; }
-  uint64_t duplicates_dropped() const { return duplicates_dropped_; }
-  uint64_t agents_executed() const { return agents_executed_; }
-  uint64_t clones_sent() const { return clones_sent_; }
+  uint64_t agents_received() const { return agents_received_.value(); }
+  uint64_t duplicates_dropped() const { return duplicates_dropped_.value(); }
+  uint64_t agents_executed() const { return agents_executed_.value(); }
+  uint64_t clones_sent() const { return clones_sent_.value(); }
   /// Agent ids aged out of the duplicate-drop table (lost-agent expiry).
-  uint64_t seen_expired() const { return seen_expired_; }
+  uint64_t seen_expired() const { return seen_expired_.value(); }
   /// Current size of the duplicate-drop table.
   size_t seen_size() const { return seen_.size(); }
 
@@ -110,19 +110,14 @@ class AgentRuntime {
 
   /// agent id -> when it was last sighted (for expiry).
   std::unordered_map<uint64_t, SimTime> seen_;
-  uint64_t agents_received_ = 0;
-  uint64_t duplicates_dropped_ = 0;
-  uint64_t agents_executed_ = 0;
-  uint64_t clones_sent_ = 0;
-  uint64_t seen_expired_ = 0;
+  metrics::Counter agents_received_;
+  metrics::Counter duplicates_dropped_;
+  metrics::Counter agents_executed_;
+  metrics::Counter clones_sent_;
+  metrics::Counter seen_expired_;
 
-  metrics::Counter* received_c_ = metrics::Counter::Noop();
-  metrics::Counter* duplicates_c_ = metrics::Counter::Noop();
-  metrics::Counter* executed_c_ = metrics::Counter::Noop();
-  metrics::Counter* migrations_c_ = metrics::Counter::Noop();
   metrics::Counter* ttl_deaths_c_ = metrics::Counter::Noop();
   metrics::Counter* class_loads_c_ = metrics::Counter::Noop();
-  metrics::Counter* expired_c_ = metrics::Counter::Noop();
   metrics::Counter* serialize_bytes_c_ = metrics::Counter::Noop();
   metrics::Counter* reconstruct_us_c_ = metrics::Counter::Noop();
   metrics::Histogram* hops_at_execute_ = metrics::Histogram::Noop();

@@ -7,7 +7,8 @@ namespace bestpeer::cache {
 ReplicaManager::ReplicaManager(ReplicaManagerOptions options)
     : options_(options) {
   if (options_.metrics != nullptr) {
-    promotions_c_ = options_.metrics->GetCounter("cache.replica_promotions");
+    promotions_.set_total(
+        options_.metrics->GetCounter("cache.replica_promotions"));
     replicas_g_ = options_.metrics->GetGauge("cache.replicas_held");
   }
 }
@@ -33,8 +34,7 @@ bool ReplicaManager::ShouldPromote(const std::string& key,
     if (promoted_.size() >= options_.top_k) return false;
     promoted_.emplace(key, now);
   }
-  ++promotions_;
-  promotions_c_->Increment();
+  promotions_.Increment();
   return true;
 }
 
@@ -96,16 +96,13 @@ std::vector<uint64_t> ReplicaManager::RevokeFrom(NodeId source) {
     }
   }
   if (!revoked.empty()) {
-    leases_revoked_ += revoked.size();
     // Lazily registered so revocation-free runs snapshot byte-identically
     // to builds without this counter.
-    if (leases_revoked_c_ == nullptr) {
-      leases_revoked_c_ = options_.metrics != nullptr
-                              ? options_.metrics->GetCounter(
-                                    "cache.leases_revoked")
-                              : metrics::Counter::Noop();
+    if (leases_revoked_.value() == 0 && options_.metrics != nullptr) {
+      leases_revoked_.set_total(
+          options_.metrics->GetCounter("cache.leases_revoked"));
     }
-    leases_revoked_c_->Add(revoked.size());
+    leases_revoked_.Add(revoked.size());
     replicas_g_->Set(static_cast<double>(replicas_.size()));
   }
   return revoked;

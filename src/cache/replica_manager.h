@@ -61,7 +61,7 @@ class ReplicaManager {
   bool ShouldPromote(const std::string& key, uint32_t frequency,
                      SimTime now);
 
-  uint64_t promotions() const { return promotions_; }
+  uint64_t promotions() const { return promotions_.value(); }
 
   /// QoS placement score: higher is a better replica target. The formula
   /// (documented in DESIGN.md §13) favors peers over fast links (rtt,
@@ -100,7 +100,7 @@ class ReplicaManager {
     return replicas_.count(object_id) != 0;
   }
   size_t replica_count() const { return replicas_.size(); }
-  uint64_t leases_revoked() const { return leases_revoked_; }
+  uint64_t leases_revoked() const { return leases_revoked_.value(); }
 
  private:
   struct Lease {
@@ -114,11 +114,8 @@ class ReplicaManager {
   /// object id -> latest lease (expiry generation + pushing peer).
   std::map<uint64_t, Lease> replicas_;
   uint64_t generation_counter_ = 0;
-  uint64_t promotions_ = 0;
-  uint64_t leases_revoked_ = 0;
-
-  metrics::Counter* promotions_c_ = metrics::Counter::Noop();
-  metrics::Counter* leases_revoked_c_ = nullptr;  ///< Lazily registered.
+  metrics::Counter promotions_;
+  metrics::Counter leases_revoked_;
   metrics::Gauge* replicas_g_ = metrics::Gauge::Noop();
 };
 

@@ -11,12 +11,12 @@ ResultCache::ResultCache(ResultCacheOptions options)
       sketch_(options_.byte_budget / 256 + 64) {
   if (options_.metrics != nullptr) {
     metrics::Registry* reg = options_.metrics;
-    hits_c_ = reg->GetCounter("cache.hits");
-    misses_c_ = reg->GetCounter("cache.misses");
-    insertions_c_ = reg->GetCounter("cache.insertions");
-    evictions_c_ = reg->GetCounter("cache.evictions");
-    invalidations_c_ = reg->GetCounter("cache.invalidations");
-    admission_rejected_c_ = reg->GetCounter("cache.admission_rejected");
+    hits_.set_total(reg->GetCounter("cache.hits"));
+    misses_.set_total(reg->GetCounter("cache.misses"));
+    insertions_.set_total(reg->GetCounter("cache.insertions"));
+    evictions_.set_total(reg->GetCounter("cache.evictions"));
+    invalidations_.set_total(reg->GetCounter("cache.invalidations"));
+    admission_rejected_.set_total(reg->GetCounter("cache.admission_rejected"));
     bytes_g_ = reg->GetGauge("cache.bytes");
     entries_g_ = reg->GetGauge("cache.entries");
   }
@@ -62,8 +62,7 @@ const CachedSlice* ResultCache::ProbeSlice(std::string_view key,
     auto slice_it = it->second.slices.find(source);
     if (slice_it != it->second.slices.end()) {
       if (slice_it->second.epoch == current_epoch) {
-        ++hits_;
-        hits_c_->Increment();
+        hits_.Increment();
         Touch(it->second);
         Flight(obs::EventType::kCacheHit, Fnv1a64(key), current_epoch);
         return &slice_it->second;
@@ -74,8 +73,7 @@ const CachedSlice* ResultCache::ProbeSlice(std::string_view key,
       it->second.bytes -= slice_it->second.bytes;
       bytes_used_ -= slice_it->second.bytes;
       it->second.slices.erase(slice_it);
-      ++invalidations_;
-      invalidations_c_->Increment();
+      invalidations_.Increment();
       Flight(obs::EventType::kCacheInvalidate, Fnv1a64(key), current_epoch);
       if (it->second.slices.empty()) {
         entries_.erase(it);
@@ -84,8 +82,7 @@ const CachedSlice* ResultCache::ProbeSlice(std::string_view key,
       bytes_g_->Set(static_cast<double>(bytes_used_));
     }
   }
-  ++misses_;
-  misses_c_->Increment();
+  misses_.Increment();
   Flight(obs::EventType::kCacheMiss, Fnv1a64(key), current_epoch);
   return nullptr;
 }
@@ -105,8 +102,7 @@ bool ResultCache::InsertSlice(std::string_view key, CachedSlice slice) {
         if (cand->second.last_used < victim->second.last_used) victim = cand;
       }
       if (EstimateFrequency(key) < EstimateFrequency(victim->first)) {
-        ++admission_rejected_;
-        admission_rejected_c_->Increment();
+        admission_rejected_.Increment();
         return false;
       }
     }
@@ -123,8 +119,7 @@ bool ResultCache::InsertSlice(std::string_view key, CachedSlice slice) {
   entry.bytes += slice_it->second.bytes;
   bytes_used_ += slice_it->second.bytes;
   Touch(entry);
-  ++insertions_;
-  insertions_c_->Increment();
+  insertions_.Increment();
   EvictToBudget(it->first);
   bytes_g_->Set(static_cast<double>(bytes_used_));
   entries_g_->Set(static_cast<double>(entries_.size()));
@@ -143,8 +138,7 @@ void ResultCache::EvictToBudget(std::string_view keep) {
     }
     if (victim == entries_.end()) break;
     bytes_used_ -= victim->second.bytes;
-    ++evictions_;
-    evictions_c_->Increment();
+    evictions_.Increment();
     Flight(obs::EventType::kCacheEvict, Fnv1a64(victim->first),
            victim->second.bytes);
     entries_.erase(victim);
@@ -170,8 +164,7 @@ size_t ResultCache::InvalidateSource(uint64_t source,
       bytes_used_ -= slice_it->second.bytes;
       it->second.slices.erase(slice_it);
       ++dropped;
-      ++invalidations_;
-      invalidations_c_->Increment();
+      invalidations_.Increment();
       Flight(obs::EventType::kCacheInvalidate, Fnv1a64(it->first),
              current_epoch);
       if (it->second.slices.empty()) {

@@ -93,12 +93,12 @@ class ResultCache {
 
   // --- stats ------------------------------------------------------------
 
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t insertions() const { return insertions_; }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t invalidations() const { return invalidations_; }
-  uint64_t admission_rejected() const { return admission_rejected_; }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t misses() const { return misses_.value(); }
+  uint64_t insertions() const { return insertions_.value(); }
+  uint64_t evictions() const { return evictions_.value(); }
+  uint64_t invalidations() const { return invalidations_.value(); }
+  uint64_t admission_rejected() const { return admission_rejected_.value(); }
   size_t bytes_used() const { return bytes_used_; }
   size_t entry_count() const { return entries_.size(); }
   size_t slice_count() const;
@@ -123,19 +123,12 @@ class ResultCache {
   std::map<std::string, Entry, std::less<>> entries_;
   uint64_t clock_ = 0;
   size_t bytes_used_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t insertions_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t invalidations_ = 0;
-  uint64_t admission_rejected_ = 0;
-
-  metrics::Counter* hits_c_ = metrics::Counter::Noop();
-  metrics::Counter* misses_c_ = metrics::Counter::Noop();
-  metrics::Counter* insertions_c_ = metrics::Counter::Noop();
-  metrics::Counter* evictions_c_ = metrics::Counter::Noop();
-  metrics::Counter* invalidations_c_ = metrics::Counter::Noop();
-  metrics::Counter* admission_rejected_c_ = metrics::Counter::Noop();
+  metrics::Counter hits_;
+  metrics::Counter misses_;
+  metrics::Counter insertions_;
+  metrics::Counter evictions_;
+  metrics::Counter invalidations_;
+  metrics::Counter admission_rejected_;
   metrics::Gauge* bytes_g_ = metrics::Gauge::Noop();
   metrics::Gauge* entries_g_ = metrics::Gauge::Noop();
 };

@@ -57,30 +57,33 @@ Status BestPeerNode::Init() {
   if (config_.metrics != nullptr) {
     metrics::Registry* reg = config_.metrics;
     queries_issued_c_ = reg->GetCounter("core.queries_issued");
-    results_received_c_ = reg->GetCounter("core.results_received");
+    results_received_.set_total(reg->GetCounter("core.results_received"));
     answers_received_c_ = reg->GetCounter("core.answers_received");
-    reconfigurations_c_ = reg->GetCounter("core.reconfigurations");
+    reconfigurations_.set_total(reg->GetCounter("core.reconfigurations"));
     fetches_issued_c_ = reg->GetCounter("core.fetches_issued");
-    late_results_c_ = reg->GetCounter("core.late_results");
-    sessions_finalized_c_ = reg->GetCounter("core.sessions_finalized");
-    peer_evictions_c_ = reg->GetCounter("core.peer_evictions");
+    late_results_.set_total(reg->GetCounter("core.late_results"));
+    sessions_finalized_.set_total(reg->GetCounter("core.sessions_finalized"));
+    peer_evictions_.set_total(reg->GetCounter("core.peer_evictions"));
     inflight_sessions_g_ = reg->GetGauge("core.inflight_sessions");
     result_hops_ = reg->GetHistogram("core.result_hops");
     if (config_.enable_result_cache) {
-      remote_hits_c_ = reg->GetCounter("core.cache_remote_hits");
-      notmod_orphans_c_ = reg->GetCounter("core.cache_notmod_orphans");
-      stale_probes_c_ = reg->GetCounter("core.cache_stale_probes");
+      cache_remote_hits_.set_total(reg->GetCounter("core.cache_remote_hits"));
+      cache_notmod_orphans_.set_total(
+          reg->GetCounter("core.cache_notmod_orphans"));
+      cache_stale_probes_.set_total(
+          reg->GetCounter("core.cache_stale_probes"));
       index_epoch_g_ = reg->GetGauge("core.index_epoch");
     }
     if (config_.enable_replication) {
-      replica_pushes_c_ = reg->GetCounter("core.replica_pushes");
-      replicas_expired_c_ = reg->GetCounter("core.replicas_expired");
+      replica_pushes_.set_total(reg->GetCounter("core.replica_pushes"));
+      replicas_expired_.set_total(reg->GetCounter("core.replicas_expired"));
     }
     if (config_.enable_content_summaries) {
-      summary_skips_c_ = reg->GetCounter("core.summary_skips");
+      summary_skips_.set_total(reg->GetCounter("core.summary_skips"));
     }
     if (config_.enable_gossip && config_.enable_result_cache) {
-      gossip_invalidations_c_ = reg->GetCounter("core.gossip_invalidations");
+      gossip_invalidations_.set_total(
+          reg->GetCounter("core.gossip_invalidations"));
     }
   }
   if (config_.enable_result_cache) {
@@ -335,23 +338,14 @@ void BestPeerNode::JoinNetwork(NodeId liglo_server, liglo::IpAddress ip,
       liglo_server, ip,
       [this, callback = std::move(callback)](
           Result<liglo::LigloClient::RegisterOutcome> outcome) {
+        // Adopt the starter peers (paper §2: the registration response
+        // carries (BPID, IP) pairs of nodes we may talk to directly). The
+        // sample excludes the new member, but after a lost reply the
+        // retried registration lists this node's first membership too;
+        // the join path does not filter it (a known self-link, tracked
+        // in ROADMAP.md).
         if (outcome.ok()) {
-          // Adopt the starter peers (paper §2: the registration response
-          // carries (BPID, IP) pairs of nodes we may talk to directly).
-          for (const auto& entry : outcome->peers) {
-            if (peers_.size() >= config_.max_direct_peers) break;
-            auto peer_node = infra_->ip_directory.Resolve(entry.ip);
-            if (!peer_node.ok()) continue;  // Stale address; skip.
-            PeerInfo info;
-            info.node = peer_node.value();
-            info.bpid = entry.bpid;
-            info.ip = entry.ip;
-            if (peers_.Add(info)) {
-              SendCompressed(info.node, kPeerConnectType, Bytes{});
-              SendSummaryTo(info.node);
-            }
-          }
-          NoteGossipPeersChanged();
+          AdoptLigloPeers(outcome->peers, /*skip_self=*/false);
         }
         if (callback) callback(std::move(outcome));
       });
@@ -445,12 +439,8 @@ void BestPeerNode::OnGossipApply(const gossip::GossipItem& item) {
       // this producer contributed before any probe can discover the
       // staleness the expensive way (a full round trip).
       if (result_cache_ != nullptr) {
-        size_t dropped =
-            result_cache_->InvalidateSource(item.origin, item.payload);
-        if (dropped > 0) {
-          gossip_invalidations_ += dropped;
-          gossip_invalidations_c_->Add(dropped);
-        }
+        gossip_invalidations_.Add(
+            result_cache_->InvalidateSource(item.origin, item.payload));
       }
       break;
     }
@@ -501,22 +491,27 @@ void BestPeerNode::ReplenishPeersIfIsolated(bool below_capacity) {
   liglo_->DiscoverPeers(
       [this](Result<std::vector<liglo::PeerEntry>> peers) {
         replenish_in_flight_ = false;
-        if (!peers.ok()) return;
-        for (const auto& entry : peers.value()) {
-          if (peers_.size() >= config_.max_direct_peers) break;
-          auto peer_node = infra_->ip_directory.Resolve(entry.ip);
-          if (!peer_node.ok() || peer_node.value() == node_) continue;
-          PeerInfo info;
-          info.node = peer_node.value();
-          info.bpid = entry.bpid;
-          info.ip = entry.ip;
-          if (peers_.Add(info)) {
-            SendCompressed(info.node, kPeerConnectType, Bytes{});
-            SendSummaryTo(info.node);
-          }
-        }
-        NoteGossipPeersChanged();
+        if (peers.ok()) AdoptLigloPeers(peers.value(), /*skip_self=*/true);
       });
+}
+
+void BestPeerNode::AdoptLigloPeers(
+    const std::vector<liglo::PeerEntry>& entries, bool skip_self) {
+  for (const auto& entry : entries) {
+    if (peers_.size() >= config_.max_direct_peers) break;
+    auto peer_node = infra_->ip_directory.Resolve(entry.ip);
+    if (!peer_node.ok()) continue;  // Stale address; skip.
+    if (skip_self && peer_node.value() == node_) continue;
+    PeerInfo info;
+    info.node = peer_node.value();
+    info.bpid = entry.bpid;
+    info.ip = entry.ip;
+    if (peers_.Add(info)) {
+      SendCompressed(info.node, kPeerConnectType, Bytes{});
+      SendSummaryTo(info.node);
+    }
+  }
+  NoteGossipPeersChanged();
 }
 
 void BestPeerNode::OnPeerSummary(const net::Message& msg) {
@@ -632,8 +627,7 @@ void BestPeerNode::FinalizeSession(uint64_t query_id) {
   auto it = sessions_.find(query_id);
   if (it == sessions_.end() || it->second.finalized()) return;
   it->second.Finalize();
-  ++sessions_finalized_;
-  sessions_finalized_c_->Increment();
+  sessions_finalized_.Increment();
   inflight_sessions_g_->Add(-1);
   transport_->RecordFlight({.type = obs::EventType::kSessionFinalize,
                             .flow = query_id,
@@ -679,8 +673,7 @@ void BestPeerNode::UpdatePeerHealth(const QuerySession& session) {
     peer_summaries_.erase(peer);
     RevokeLeasesFrom(peer);
     SendCompressed(peer, kPeerDisconnectType, Bytes{});
-    ++peer_evictions_;
-    peer_evictions_c_->Increment();
+    peer_evictions_.Increment();
   }
   if (!evicted.empty()) ReplenishPeersIfIsolated(/*below_capacity=*/true);
 }
@@ -711,10 +704,7 @@ Result<uint64_t> BestPeerNode::IssueSearch(const std::string& keyword,
     agent.EnableIndexSearch();
   }
   std::vector<NodeId> skip = SummarySkipSet(keyword);
-  if (!skip.empty()) {
-    summary_skips_ += skip.size();
-    summary_skips_c_->Add(skip.size());
-  }
+  summary_skips_.Add(skip.size());
   return LaunchAgent(agent, query_id, keyword, ttl, skip);
 }
 
@@ -814,8 +804,7 @@ void BestPeerNode::OnDataShipResponse(const net::Message& msg) {
   auto it = sessions_.find(resp->query_id);
   if (it == sessions_.end()) return;
   if (it->second.finalized()) {
-    ++late_results_;
-    late_results_c_->Increment();
+    late_results_.Increment();
     return;
   }
   store_size_hints_[msg.src] = resp->items.size();
@@ -838,8 +827,7 @@ void BestPeerNode::OnDataShipResponse(const net::Message& msg) {
         auto session_it = sessions_.find(query_id);
         if (session_it == sessions_.end()) return;
         if (session_it->second.finalized()) {
-          ++late_results_;
-          late_results_c_->Increment();
+          late_results_.Increment();
           return;
         }
         ResponseEvent event;
@@ -894,14 +882,14 @@ NodeTelemetry BestPeerNode::TelemetrySnapshot() const {
   for (const auto& [id, session] : sessions_) {
     if (!session.finalized()) ++t.sessions_inflight;
   }
-  t.peer_evictions = peer_evictions_;
-  t.reconfigurations = reconfigurations_;
+  t.peer_evictions = peer_evictions_.value();
+  t.reconfigurations = reconfigurations_.value();
   if (replica_mgr_ != nullptr) {
     t.replica_leases = replica_mgr_->replica_count();
     t.replica_promotions = replica_mgr_->promotions();
   }
-  t.replica_pushes = replica_pushes_;
-  t.replicas_expired = replicas_expired_;
+  t.replica_pushes = replica_pushes_.value();
+  t.replicas_expired = replicas_expired_.value();
   t.replicas_stored = replicas_stored_;
   if (replica_mgr_ != nullptr) {
     t.leases_revoked = replica_mgr_->leases_revoked();
@@ -935,8 +923,7 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
   if (it == sessions_.end()) return;  // Not ours (or long forgotten).
   if (it->second.finalized()) {
     // Straggler past the deadline: the answer set is frozen.
-    ++late_results_;
-    late_results_c_->Increment();
+    late_results_.Increment();
     return;
   }
 
@@ -958,14 +945,12 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
       }
     }
     if (slice == nullptr) {
-      ++cache_notmod_orphans_;
-      notmod_orphans_c_->Increment();
+      cache_notmod_orphans_.Increment();
       return;
     }
     *cached_ids = slice->ids;
     from_cache = true;
-    ++cache_remote_hits_;
-    remote_hits_c_->Increment();
+    cache_remote_hits_.Increment();
     transport_->RecordFlight({.type = obs::EventType::kCacheHit,
                               .peer = msg.src,
                               .flow = result->query_id,
@@ -973,8 +958,7 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
                               .b = result->cache_epoch});
   }
 
-  ++results_received_;
-  results_received_c_->Increment();
+  results_received_.Increment();
   answers_received_c_->Add(from_cache ? cached_ids->size()
                                       : result->items.size());
   result_hops_->Observe(static_cast<double>(result->hops));
@@ -993,8 +977,7 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
       auto s = snap_it->second.find(msg.src);
       if (s != snap_it->second.end() &&
           s->second.epoch != result->cache_epoch) {
-        ++cache_stale_probes_;
-        stale_probes_c_->Increment();
+        cache_stale_probes_.Increment();
       }
     }
   }
@@ -1024,8 +1007,7 @@ void BestPeerNode::OnSearchResult(const net::Message& msg) {
         if (session_it == sessions_.end()) return;
         if (session_it->second.finalized()) {
           // Deadline fired while this result sat in the CPU queue.
-          ++late_results_;
-          late_results_c_->Increment();
+          late_results_.Increment();
           return;
         }
         ResponseEvent event;
@@ -1116,8 +1098,7 @@ void BestPeerNode::PushHotReplicas(const std::vector<uint64_t>& ids) {
   Bytes encoded = push.Encode();
   for (NodeId peer : targets) {
     SendCompressed(peer, kCacheReplicaPushType, encoded);
-    ++replica_pushes_;
-    replica_pushes_c_->Increment();
+    replica_pushes_.Increment();
     if (config_.qos_replica_placement) {
       for (const ResultItem& item : push.items) {
         lease_book_[peer][item.id] = push.source_epoch;
@@ -1180,8 +1161,7 @@ void BestPeerNode::ExpireReplica(storm::ObjectId id, uint64_t generation) {
   // The delete bumps the mutation epoch, so any cached slice naming this
   // replica goes stale with it — expiry can't leave stale answers behind.
   storage_->Delete(id).ok();
-  ++replicas_expired_;
-  replicas_expired_c_->Increment();
+  replicas_expired_.Increment();
   // Tell the fleet (the pusher above all) that this lease ended, so the
   // next promotion re-places the object instead of assuming coverage.
   if (gossip_ != nullptr) gossip_->AnnounceLeaseExpire(id, generation);
@@ -1234,8 +1214,7 @@ void BestPeerNode::OnFetchResponse(const net::Message& msg) {
   auto it = sessions_.find(resp->query_id);
   if (it == sessions_.end()) return;
   if (it->second.finalized()) {
-    ++late_results_;
-    late_results_c_->Increment();
+    late_results_.Increment();
     return;
   }
   ResponseEvent event;
@@ -1318,8 +1297,7 @@ void BestPeerNode::ApplyPeerSet(
   }
   if (adopted > 0) NoteGossipPeersChanged();
   if (changed) {
-    ++reconfigurations_;
-    reconfigurations_c_->Increment();
+    reconfigurations_.Increment();
     transport_->RecordFlight(
         {.type = obs::EventType::kReconfig, .a = adopted, .b = dropped});
   }

@@ -181,13 +181,15 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   cache::ReplicaManager* replica_manager() { return replica_mgr_.get(); }
 
   /// Not-modified replies this base node materialized from its cache.
-  uint64_t cache_remote_hits() const { return cache_remote_hits_; }
+  uint64_t cache_remote_hits() const { return cache_remote_hits_.value(); }
   /// Not-modified replies dropped because the matching slice was gone.
-  uint64_t cache_notmod_orphans() const { return cache_notmod_orphans_; }
+  uint64_t cache_notmod_orphans() const {
+    return cache_notmod_orphans_.value();
+  }
   /// Hot-answer replica pushes sent to peers.
-  uint64_t replica_pushes() const { return replica_pushes_; }
+  uint64_t replica_pushes() const { return replica_pushes_.value(); }
   /// Replicas this node deleted at their TTL.
-  uint64_t replicas_expired() const { return replicas_expired_; }
+  uint64_t replicas_expired() const { return replicas_expired_.value(); }
 
   // --- gossip anti-entropy plane ---------------------------------------------
 
@@ -196,10 +198,12 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   const gossip::GossipAgent* gossip_agent() const { return gossip_.get(); }
 
   /// Cached slices dropped ahead of a probe by a gossiped epoch bump.
-  uint64_t gossip_invalidations() const { return gossip_invalidations_; }
+  uint64_t gossip_invalidations() const {
+    return gossip_invalidations_.value();
+  }
   /// Full replies received for a probed source whose epoch had moved —
   /// the stale-probe round trips gossip exists to eliminate.
-  uint64_t cache_stale_probes() const { return cache_stale_probes_; }
+  uint64_t cache_stale_probes() const { return cache_stale_probes_.value(); }
   /// Leases this node revoked because the pushing peer was lost.
   uint64_t leases_revoked() const {
     return replica_mgr_ ? replica_mgr_->leases_revoked() : 0;
@@ -209,7 +213,7 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
 
   /// Search launches that skipped a direct peer because its summary
   /// provably excluded every DNF branch of the query.
-  uint64_t summary_skips() const { return summary_skips_; }
+  uint64_t summary_skips() const { return summary_skips_.value(); }
   /// Direct peers whose content summary this node currently holds.
   size_t peer_summary_count() const { return peer_summaries_.size(); }
 
@@ -248,11 +252,11 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   void FinalizeSession(uint64_t query_id);
 
   /// Results that arrived after their session was finalized (dropped).
-  uint64_t late_results() const { return late_results_; }
+  uint64_t late_results() const { return late_results_.value(); }
   /// Sessions closed by a deadline.
-  uint64_t sessions_finalized() const { return sessions_finalized_; }
+  uint64_t sessions_finalized() const { return sessions_finalized_.value(); }
   /// Direct peers evicted for missing peer_failure_threshold deadlines.
-  uint64_t peer_evictions() const { return peer_evictions_; }
+  uint64_t peer_evictions() const { return peer_evictions_.value(); }
 
   /// Explicit mode-2 content fetch from `responder` (auto_fetch does this
   /// automatically on descriptor arrival).
@@ -267,7 +271,7 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   Status Reconfigure(uint64_t query_id);
 
   /// Number of times Reconfigure changed the peer set.
-  uint64_t reconfigurations() const { return reconfigurations_; }
+  uint64_t reconfigurations() const { return reconfigurations_.value(); }
 
   // --- active objects (§3.2.2) -----------------------------------------------
 
@@ -287,7 +291,7 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   const BestPeerConfig& config() const { return config_; }
   agent::AgentRuntime& agent_runtime() { return *runtime_; }
   liglo::LigloClient& liglo_client() { return *liglo_; }
-  uint64_t results_received() const { return results_received_; }
+  uint64_t results_received() const { return results_received_.value(); }
 
  private:
   BestPeerNode(net::Transport* transport, SharedInfra* infra,
@@ -367,6 +371,11 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   /// list becomes empty — or, with `below_capacity`, whenever there is
   /// room (used after health evictions, which rarely empty the list).
   void ReplenishPeersIfIsolated(bool below_capacity = false);
+  /// Adopts LIGLO peer entries as direct peers up to max_direct_peers
+  /// (connect notice and summary to each new one), skipping stale
+  /// addresses and, with `skip_self`, entries that resolve to this node.
+  void AdoptLigloPeers(const std::vector<liglo::PeerEntry>& entries,
+                       bool skip_self);
 
   /// The shared object `id` as a result item (fails when not stored).
   Result<ResultItem> ReadShared(storm::ObjectId id);
@@ -409,19 +418,8 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   std::map<NodeId, size_t> store_size_hints_;
   uint32_t query_counter_ = 0;
   uint64_t request_counter_ = 0;
-  uint64_t results_received_ = 0;
-  uint64_t reconfigurations_ = 0;
-  uint64_t late_results_ = 0;
-  uint64_t sessions_finalized_ = 0;
-  uint64_t peer_evictions_ = 0;
   bool replenish_in_flight_ = false;
   uint64_t replicas_stored_ = 0;
-  uint64_t cache_remote_hits_ = 0;
-  uint64_t cache_notmod_orphans_ = 0;
-  uint64_t replica_pushes_ = 0;
-  uint64_t replicas_expired_ = 0;
-  uint64_t gossip_invalidations_ = 0;
-  uint64_t cache_stale_probes_ = 0;
   /// Pusher-side lease book: holder -> object -> source epoch at grant.
   /// QoS placement skips holders already fresh-leased on an object;
   /// gossiped/local expiries and peer loss clear entries.
@@ -437,26 +435,29 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   bool own_summary_valid_ = false;
   uint64_t last_broadcast_epoch_ = 0;
   bool summary_push_pending_ = false;
-  uint64_t summary_skips_ = 0;
+
+  /// Per-node event counts. With config.metrics set, Init points each at
+  /// its core.* instrument (the cache, replica, summary and gossip ones
+  /// only when their feature is on), so the registry sums the fleet.
+  metrics::Counter results_received_;
+  metrics::Counter reconfigurations_;
+  metrics::Counter late_results_;
+  metrics::Counter sessions_finalized_;
+  metrics::Counter peer_evictions_;
+  metrics::Counter cache_remote_hits_;
+  metrics::Counter cache_notmod_orphans_;
+  metrics::Counter cache_stale_probes_;
+  metrics::Counter replica_pushes_;
+  metrics::Counter replicas_expired_;
+  metrics::Counter summary_skips_;
+  metrics::Counter gossip_invalidations_;
 
   metrics::Counter* queries_issued_c_ = metrics::Counter::Noop();
-  metrics::Counter* results_received_c_ = metrics::Counter::Noop();
   metrics::Counter* answers_received_c_ = metrics::Counter::Noop();
-  metrics::Counter* reconfigurations_c_ = metrics::Counter::Noop();
   metrics::Counter* fetches_issued_c_ = metrics::Counter::Noop();
-  metrics::Counter* late_results_c_ = metrics::Counter::Noop();
-  metrics::Counter* sessions_finalized_c_ = metrics::Counter::Noop();
-  metrics::Counter* peer_evictions_c_ = metrics::Counter::Noop();
   metrics::Gauge* inflight_sessions_g_ = metrics::Gauge::Noop();
   metrics::Histogram* result_hops_ = metrics::Histogram::Noop();
-  metrics::Counter* remote_hits_c_ = metrics::Counter::Noop();
-  metrics::Counter* notmod_orphans_c_ = metrics::Counter::Noop();
-  metrics::Counter* replica_pushes_c_ = metrics::Counter::Noop();
-  metrics::Counter* replicas_expired_c_ = metrics::Counter::Noop();
   metrics::Gauge* index_epoch_g_ = metrics::Gauge::Noop();
-  metrics::Counter* summary_skips_c_ = metrics::Counter::Noop();
-  metrics::Counter* gossip_invalidations_c_ = metrics::Counter::Noop();
-  metrics::Counter* stale_probes_c_ = metrics::Counter::Noop();
 };
 
 }  // namespace bestpeer::core

@@ -19,13 +19,13 @@ GossipAgent::GossipAgent(net::Transport* transport, GossipOptions options)
     // Fleet-shared instruments, same convention as core.* — every agent
     // registered against one registry feeds the same totals.
     auto* m = options_.metrics;
-    rounds_c_ = m->GetCounter("gossip.rounds");
-    frames_sent_c_ = m->GetCounter("gossip.frames_sent");
-    frames_received_c_ = m->GetCounter("gossip.frames_received");
+    rounds_.set_total(m->GetCounter("gossip.rounds"));
+    frames_sent_.set_total(m->GetCounter("gossip.frames_sent"));
+    frames_received_.set_total(m->GetCounter("gossip.frames_received"));
     items_sent_c_ = m->GetCounter("gossip.items_sent");
-    items_applied_c_ = m->GetCounter("gossip.items_applied");
-    duplicates_c_ = m->GetCounter("gossip.duplicates");
-    decode_errors_c_ = m->GetCounter("gossip.decode_errors");
+    items_applied_.set_total(m->GetCounter("gossip.items_applied"));
+    duplicates_.set_total(m->GetCounter("gossip.duplicates"));
+    decode_errors_.set_total(m->GetCounter("gossip.decode_errors"));
     known_items_g_ = m->GetGauge("gossip.known_items");
   }
 }
@@ -132,9 +132,7 @@ void GossipAgent::RunRound() {
     // NotifyPeersChanged() re-arms when the peer set recovers.
     return;
   }
-  ++round_;
-  rounds_++;
-  rounds_c_->Increment();
+  rounds_.Increment();
 
   // Rumor frames carry only the hot items the target is not already
   // known to hold: full-state pushes would make every mutation cost
@@ -146,7 +144,7 @@ void GossipAgent::RunRound() {
   for (size_t i = 0; i < targets; ++i) {
     GossipFrame frame;
     frame.sender = node_;
-    frame.round = round_;
+    frame.round = rounds_.value();
     auto known_it = peer_known_.find(peers[i]);
     for (const auto& [key, entry] : state_) {
       if (entry.hot == 0) continue;
@@ -168,8 +166,7 @@ void GossipAgent::RunRound() {
 }
 
 void GossipAgent::SendFrame(NodeId dst, GossipFrame frame) {
-  frames_sent_++;
-  frames_sent_c_->Increment();
+  frames_sent_.Increment();
   items_sent_c_->Add(frame.items.size());
   transport_->RecordFlight({.type = obs::EventType::kGossipSend,
                             .peer = dst,
@@ -181,12 +178,10 @@ void GossipAgent::SendFrame(NodeId dst, GossipFrame frame) {
 void GossipAgent::OnMessage(const net::Message& msg) {
   auto decoded = DecodeGossipFrame(msg.payload);
   if (!decoded.ok()) {
-    decode_errors_++;
-    decode_errors_c_->Increment();
+    decode_errors_.Increment();
     return;
   }
-  frames_received_++;
-  frames_received_c_->Increment();
+  frames_received_.Increment();
   const GossipFrame& frame = decoded.value();
 
   // Everything the sender offers, it provably holds — future rumor
@@ -214,8 +209,7 @@ void GossipAgent::OnMessage(const net::Message& msg) {
 
   for (const GossipItem& item : frame.items) {
     if (!Upsert(item)) {
-      duplicates_++;
-      duplicates_c_->Increment();
+      duplicates_.Increment();
       // Feedback death: the sender provably holds this exact version
       // too, so the rumor is saturating — lose interest one round early
       // rather than blindly re-pushing it hot_rounds more times. (A
@@ -228,8 +222,7 @@ void GossipAgent::OnMessage(const net::Message& msg) {
       }
       continue;
     }
-    items_applied_++;
-    items_applied_c_->Increment();
+    items_applied_.Increment();
     transport_->RecordFlight({.type = obs::EventType::kGossipApply,
                               .peer = frame.sender,
                               .a = item.origin,
@@ -239,7 +232,7 @@ void GossipAgent::OnMessage(const net::Message& msg) {
 
   if (!is_response && !reply.items.empty()) {
     reply.sender = node_;
-    reply.round = round_;
+    reply.round = rounds_.value();
     reply.flags = GossipFrame::kFlagResponse;
     SendFrame(frame.sender, std::move(reply));
   }

@@ -102,12 +102,12 @@ class GossipAgent {
   bool LeaseLive(uint64_t object_id, NodeId holder) const;
 
   size_t known_items() const { return state_.size(); }
-  uint64_t rounds() const { return rounds_; }
-  uint64_t frames_sent() const { return frames_sent_; }
-  uint64_t frames_received() const { return frames_received_; }
-  uint64_t items_applied() const { return items_applied_; }
-  uint64_t duplicates() const { return duplicates_; }
-  uint64_t decode_errors() const { return decode_errors_; }
+  uint64_t rounds() const { return rounds_.value(); }
+  uint64_t frames_sent() const { return frames_sent_.value(); }
+  uint64_t frames_received() const { return frames_received_.value(); }
+  uint64_t items_applied() const { return items_applied_.value(); }
+  uint64_t duplicates() const { return duplicates_.value(); }
+  uint64_t decode_errors() const { return decode_errors_.value(); }
   /// True when no round timer is armed (all rumors cold).
   bool quiescent() const { return !timer_armed_; }
 
@@ -153,23 +153,17 @@ class GossipAgent {
   std::map<NodeId, std::map<Key, uint64_t>> peer_known_;
   /// Monotonic sequence versioning this node's lease facts.
   uint64_t lease_seq_ = 0;
-  uint64_t round_ = 0;
   bool timer_armed_ = false;
 
-  uint64_t rounds_ = 0;
-  uint64_t frames_sent_ = 0;
-  uint64_t frames_received_ = 0;
-  uint64_t items_applied_ = 0;
-  uint64_t duplicates_ = 0;
-  uint64_t decode_errors_ = 0;
+  /// Also the round number each frame carries.
+  metrics::Counter rounds_;
+  metrics::Counter frames_sent_;
+  metrics::Counter frames_received_;
+  metrics::Counter items_applied_;
+  metrics::Counter duplicates_;
+  metrics::Counter decode_errors_;
 
-  metrics::Counter* rounds_c_ = metrics::Counter::Noop();
-  metrics::Counter* frames_sent_c_ = metrics::Counter::Noop();
-  metrics::Counter* frames_received_c_ = metrics::Counter::Noop();
   metrics::Counter* items_sent_c_ = metrics::Counter::Noop();
-  metrics::Counter* items_applied_c_ = metrics::Counter::Noop();
-  metrics::Counter* duplicates_c_ = metrics::Counter::Noop();
-  metrics::Counter* decode_errors_c_ = metrics::Counter::Noop();
   metrics::Gauge* known_items_g_ = metrics::Gauge::Noop();
 };
 

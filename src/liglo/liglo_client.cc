@@ -33,9 +33,9 @@ LigloClient::LigloClient(net::Transport* transport,
                   (static_cast<uint64_t>(node_) << 32 | node_)) {
   if (options_.metrics != nullptr) {
     metrics::Registry* reg = options_.metrics;
-    timeouts_c_ = reg->GetCounter("liglo.timeouts");
-    retries_c_ = reg->GetCounter("liglo.retries");
-    late_replies_c_ = reg->GetCounter("liglo.late_replies");
+    timeouts_.set_total(reg->GetCounter("liglo.timeouts"));
+    retries_.set_total(reg->GetCounter("liglo.retries"));
+    late_replies_.set_total(reg->GetCounter("liglo.late_replies"));
   }
   dispatcher->Register(kLigloRegisterResp, [this](const net::Message& m) {
     OnRegisterResp(m);
@@ -69,8 +69,7 @@ void LigloClient::ArmTimeout(uint64_t id) {
   transport_->clock().ScheduleAfter(options_.request_timeout, [this, id]() {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;  // Already answered.
-    ++timeouts_;
-    timeouts_c_->Increment();
+    timeouts_.Increment();
     Pending& p = it->second;
     if (p.attempt < options_.max_retries && Retryable(p.kind)) {
       // Recovery path: keep the request pending and resend after an
@@ -78,8 +77,7 @@ void LigloClient::ArmTimeout(uint64_t id) {
       // to an earlier attempt can still complete the request while we
       // back off — the resend then finds nothing pending and is dropped.
       ++p.attempt;
-      ++retries_;
-      retries_c_->Increment();
+      retries_.Increment();
       transport_->RecordFlight({.type = obs::EventType::kLigloRetry,
                                 .peer = p.server,
                                 .a = id,

@@ -103,12 +103,12 @@ class LigloClient {
   bool registered() const { return bpid_.IsValid(); }
 
   /// Timeout windows that expired (each failed attempt counts once).
-  uint64_t timeouts() const { return timeouts_; }
+  uint64_t timeouts() const { return timeouts_.value(); }
   /// Resends performed after a timeout.
-  uint64_t retries() const { return retries_; }
+  uint64_t retries() const { return retries_.value(); }
   /// Replies that arrived after their request had already timed out (or
   /// been answered by an earlier attempt); ignored quietly.
-  uint64_t late_replies() const { return late_replies_; }
+  uint64_t late_replies() const { return late_replies_.value(); }
 
  private:
   enum class PendingKind { kRegister, kUpdate, kResolve, kPeers };
@@ -136,10 +136,7 @@ class LigloClient {
   /// Puts the request's current attempt on the wire and arms its timeout.
   void SendAttempt(uint64_t id);
   /// Counts a reply whose request already timed out or was answered.
-  void NoteLateReply() {
-    ++late_replies_;
-    late_replies_c_->Increment();
-  }
+  void NoteLateReply() { late_replies_.Increment(); }
   void ArmTimeout(uint64_t id);
   Pending TakePending(uint64_t id, bool* found);
   /// Whether a timed-out request of this kind is resent.
@@ -159,13 +156,9 @@ class LigloClient {
 
   uint64_t next_request_id_ = 1;
   std::map<uint64_t, Pending> pending_;
-  uint64_t timeouts_ = 0;
-  uint64_t retries_ = 0;
-  uint64_t late_replies_ = 0;
-
-  metrics::Counter* timeouts_c_ = metrics::Counter::Noop();
-  metrics::Counter* retries_c_ = metrics::Counter::Noop();
-  metrics::Counter* late_replies_c_ = metrics::Counter::Noop();
+  metrics::Counter timeouts_;
+  metrics::Counter retries_;
+  metrics::Counter late_replies_;
 };
 
 }  // namespace bestpeer::liglo

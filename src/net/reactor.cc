@@ -124,7 +124,6 @@ void Reactor::AddFd(int fd, bool want_read, bool want_write, FdFn fn) {
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
 #endif
-  watches_dirty_ = true;
 }
 
 void Reactor::ModFd(int fd, bool want_read, bool want_write) {
@@ -138,7 +137,6 @@ void Reactor::ModFd(int fd, bool want_read, bool want_write) {
   ev.data.fd = fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
 #endif
-  watches_dirty_ = true;
 }
 
 void Reactor::RemoveFd(int fd) {
@@ -146,7 +144,6 @@ void Reactor::RemoveFd(int fd) {
 #if defined(__linux__)
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 #endif
-  watches_dirty_ = true;
 }
 
 void Reactor::Wake() {

@@ -98,7 +98,6 @@ class Reactor {
   uint64_t timer_seq_ = 0;
 
   std::map<int, Watch> watches_;
-  bool watches_dirty_ = false;
 
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;

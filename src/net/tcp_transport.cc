@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -109,20 +108,8 @@ void TcpTransport::RunCpu(SimTime cost, std::function<void()> done,
     trace::TraceRecorder* recorder = net_->options().trace;
     if (recorder != nullptr && name != nullptr &&
         (flow != 0 ? recorder->Sampled(flow) : recorder->sample_all())) {
-      // Same span shape as sim::CpuModel::Submit, so critical-path
-      // analysis and bpstitch read both backends identically.
-      trace::Span span;
-      span.name = name;
-      span.cat = "cpu";
-      span.tid = node_;
-      span.ts = start;
-      span.dur = cost;
-      span.flow = flow;
-      span.args = std::move(args);
-      if (start > now) {
-        span.args.emplace_back("qwait", static_cast<uint64_t>(start - now));
-      }
-      recorder->RecordSpan(std::move(span));
+      recorder->RecordSpan(trace::CpuSpan(name, node_, now, start, cost, flow,
+                                          std::move(args)));
     }
     net_->reactor().AddTimerAt(cpu_free_at_, std::move(done));
   };
@@ -325,10 +312,7 @@ void TcpTransport::EnsureConnected(NodeId dst, PeerConn& peer) {
                      sizeof(addr));
   if (rc == 0) {
     peer.fd = fd;
-    peer.connecting = false;
-    if (peer.backoff.attempts() > 0) reconnects_c_->Increment();
-    connects_c_->Increment();
-    peer.backoff.Reset();
+    MarkConnected(peer);
     net_->reactor().AddFd(fd, /*want_read=*/true, /*want_write=*/false,
                           [this, dst](uint32_t events) {
                             (void)events;
@@ -350,6 +334,13 @@ void TcpTransport::EnsureConnected(NodeId dst, PeerConn& peer) {
                         });
 }
 
+void TcpTransport::MarkConnected(PeerConn& peer) {
+  peer.connecting = false;
+  if (peer.backoff.attempts() > 0) reconnects_c_->Increment();
+  connects_c_->Increment();
+  peer.backoff.Reset();
+}
+
 void TcpTransport::OnOutboundWritable(NodeId dst) {
   auto it = peers_.find(dst);
   if (it == peers_.end()) return;
@@ -363,10 +354,7 @@ void TcpTransport::OnOutboundWritable(NodeId dst) {
       FailOutbound(dst, peer);
       return;
     }
-    peer.connecting = false;
-    if (peer.backoff.attempts() > 0) reconnects_c_->Increment();
-    connects_c_->Increment();
-    peer.backoff.Reset();
+    MarkConnected(peer);
   }
   // Detect a peer that closed on us: level-triggered readability on an
   // outbound socket means EOF or an error (we never expect data back).
@@ -478,14 +466,7 @@ void TcpTransport::Deliver(const FrameHeader& header, Bytes payload) {
                      header.type, header.src, header.flow, /*a=*/1, /*b=*/0);
     }
     trace::Span span;
-    auto name_it = type_names_.find(header.type);
-    if (name_it != type_names_.end()) {
-      span.name = name_it->second;
-    } else {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "msg:%08x", header.type);
-      span.name = buf;
-    }
+    span.name = trace::MessageName(type_names_, header.type);
     span.cat = "net";
     span.tid = node_;
     span.flow = header.flow;

@@ -121,6 +121,9 @@ class TcpTransport final : public Transport {
   void OnInboundReadable(int fd);
   void CloseInbound(int fd);
   void EnsureConnected(NodeId dst, PeerConn& peer);
+  /// Connect-completion bookkeeping: counts the connect (and a reconnect
+  /// after a failed attempt) and resets the backoff.
+  void MarkConnected(PeerConn& peer);
   void OnOutboundWritable(NodeId dst);
   void FlushQueue(NodeId dst, PeerConn& peer);
   void FailOutbound(NodeId dst, PeerConn& peer);

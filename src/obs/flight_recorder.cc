@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "util/json_writer.h"
+#include "util/trace.h"
 
 namespace bestpeer::obs {
 
@@ -148,13 +149,7 @@ void FlightRecorder::AppendEventJson(std::string* out,
   if (e.flow != 0) AppendU64(out, "flow", e.flow);
   if (e.msg_type != 0) {
     *out += ",\"msg\":\"";
-    auto it = type_names_.find(e.msg_type);
-    if (it != type_names_.end()) {
-      AppendJsonEscaped(out, it->second);
-    } else {
-      std::snprintf(buf, sizeof(buf), "msg:%08x", e.msg_type);
-      *out += buf;
-    }
+    AppendJsonEscaped(out, trace::MessageName(type_names_, e.msg_type));
     *out += '"';
   }
   if (e.cause != DropCause::kNone) {

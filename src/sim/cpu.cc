@@ -12,8 +12,8 @@ CpuModel::CpuModel(Simulator* sim, int threads, metrics::Registry* registry,
   assert(threads >= 1);
   free_at_.assign(static_cast<size_t>(threads), 0);
   if (registry != nullptr) {
-    tasks_c_ = registry->GetCounter("cpu.tasks");
-    busy_us_c_ = registry->GetCounter("cpu.busy_us");
+    tasks_submitted_.set_total(registry->GetCounter("cpu.tasks"));
+    busy_us_.set_total(registry->GetCounter("cpu.busy_us"));
     queue_wait_us_c_ = registry->GetCounter("cpu.queue_wait_us");
     service_us_ = registry->GetHistogram("cpu.service_us");
   }
@@ -27,27 +27,14 @@ void CpuModel::Submit(SimTime service, EventFn done, const char* name,
   SimTime start = std::max(sim_->now(), *it);
   SimTime end = start + service;
   *it = end;
-  total_busy_ += service;
-  ++tasks_submitted_;
-  tasks_c_->Increment();
-  busy_us_c_->Add(static_cast<uint64_t>(service));
+  tasks_submitted_.Increment();
+  busy_us_.Add(static_cast<uint64_t>(service));
   queue_wait_us_c_->Add(static_cast<uint64_t>(start - sim_->now()));
   service_us_->Observe(static_cast<double>(service));
   if (name != nullptr) {
     if (trace::TraceRecorder* recorder = sim_->trace()) {
-      trace::Span span;
-      span.name = name;
-      span.cat = "cpu";
-      span.tid = node_;
-      span.ts = start;
-      span.dur = service;
-      span.flow = flow;
-      span.args = std::move(args);
-      if (start > sim_->now()) {
-        span.args.emplace_back("qwait",
-                               static_cast<uint64_t>(start - sim_->now()));
-      }
-      recorder->RecordSpan(std::move(span));
+      recorder->RecordSpan(trace::CpuSpan(name, node_, sim_->now(), start,
+                                          service, flow, std::move(args)));
     }
   }
   sim_->ScheduleAt(end, std::move(done));

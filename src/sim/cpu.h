@@ -41,10 +41,12 @@ class CpuModel {
   SimTime EarliestFree() const;
 
   /// Total busy time accumulated across servers.
-  SimTime total_busy() const { return total_busy_; }
+  SimTime total_busy() const {
+    return static_cast<SimTime>(busy_us_.value());
+  }
 
   /// Number of tasks submitted.
-  uint64_t tasks_submitted() const { return tasks_submitted_; }
+  uint64_t tasks_submitted() const { return tasks_submitted_.value(); }
 
   int threads() const { return static_cast<int>(free_at_.size()); }
 
@@ -52,10 +54,8 @@ class CpuModel {
   Simulator* sim_;
   uint32_t node_ = 0;
   std::vector<SimTime> free_at_;
-  SimTime total_busy_ = 0;
-  uint64_t tasks_submitted_ = 0;
-  metrics::Counter* tasks_c_ = metrics::Counter::Noop();
-  metrics::Counter* busy_us_c_ = metrics::Counter::Noop();
+  metrics::Counter busy_us_;
+  metrics::Counter tasks_submitted_;
   metrics::Counter* queue_wait_us_c_ = metrics::Counter::Noop();
   metrics::Histogram* service_us_ = metrics::Histogram::Noop();
 };

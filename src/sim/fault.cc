@@ -18,11 +18,11 @@ FaultInjector::FaultInjector(Simulator* sim, FaultOptions options)
     : sim_(sim), options_(options), rng_(options.seed) {
   if (options_.metrics != nullptr) {
     metrics::Registry* reg = options_.metrics;
-    drops_c_ = reg->GetCounter("fault.drops");
-    partition_drops_c_ = reg->GetCounter("fault.partition_drops");
-    spikes_c_ = reg->GetCounter("fault.latency_spikes");
-    crashes_c_ = reg->GetCounter("fault.crashes");
-    restarts_c_ = reg->GetCounter("fault.restarts");
+    drops_.set_total(reg->GetCounter("fault.drops"));
+    partition_drops_.set_total(reg->GetCounter("fault.partition_drops"));
+    latency_spikes_.set_total(reg->GetCounter("fault.latency_spikes"));
+    crashes_.set_total(reg->GetCounter("fault.crashes"));
+    restarts_.set_total(reg->GetCounter("fault.restarts"));
   }
 }
 
@@ -33,23 +33,20 @@ FaultDecision FaultInjector::OnSend(NodeId src, NodeId dst) {
   if (!cut_.empty() && Partitioned(src, dst)) {
     decision.drop = true;
     decision.partition = true;
-    ++partition_drops_;
-    partition_drops_c_->Increment();
+    partition_drops_.Increment();
     return decision;
   }
   // Zero-probability paths draw nothing, so a quiet injector leaves the
   // rng stream — and with it every downstream decision — untouched.
   if (options_.message_loss > 0 && rng_.NextBool(options_.message_loss)) {
     decision.drop = true;
-    ++drops_;
-    drops_c_->Increment();
+    drops_.Increment();
     return decision;
   }
   if (options_.latency_spike_prob > 0 &&
       rng_.NextBool(options_.latency_spike_prob)) {
     decision.extra_delay = options_.latency_spike;
-    ++latency_spikes_;
-    spikes_c_->Increment();
+    latency_spikes_.Increment();
   }
   return decision;
 }
@@ -57,8 +54,7 @@ FaultDecision FaultInjector::OnSend(NodeId src, NodeId dst) {
 void FaultInjector::ScheduleCrash(NodeId node, SimTime crash_at,
                                   SimTime down_for) {
   sim_->ScheduleAt(crash_at, [this, node]() {
-    ++crashes_;
-    crashes_c_->Increment();
+    crashes_.Increment();
     if (obs::FlightRecorder* flight = sim_->flight()) {
       obs::FlightEvent e;
       e.ts = sim_->now();
@@ -72,8 +68,7 @@ void FaultInjector::ScheduleCrash(NodeId node, SimTime crash_at,
   });
   if (down_for > 0) {
     sim_->ScheduleAt(crash_at + down_for, [this, node]() {
-      ++restarts_;
-      restarts_c_->Increment();
+      restarts_.Increment();
       if (obs::FlightRecorder* flight = sim_->flight()) {
         obs::FlightEvent e;
         e.ts = sim_->now();

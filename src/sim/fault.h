@@ -90,11 +90,11 @@ class FaultInjector {
   const FaultOptions& options() const { return options_; }
 
   /// Aggregate counters (also exported as fault.* metrics).
-  uint64_t drops() const { return drops_; }
-  uint64_t partition_drops() const { return partition_drops_; }
-  uint64_t latency_spikes() const { return latency_spikes_; }
-  uint64_t crashes() const { return crashes_; }
-  uint64_t restarts() const { return restarts_; }
+  uint64_t drops() const { return drops_.value(); }
+  uint64_t partition_drops() const { return partition_drops_.value(); }
+  uint64_t latency_spikes() const { return latency_spikes_.value(); }
+  uint64_t crashes() const { return crashes_.value(); }
+  uint64_t restarts() const { return restarts_.value(); }
 
  private:
   Simulator* sim_;
@@ -104,17 +104,11 @@ class FaultInjector {
   /// Normalized (min, max) node pairs severed by active partitions.
   std::set<std::pair<NodeId, NodeId>> cut_;
 
-  uint64_t drops_ = 0;
-  uint64_t partition_drops_ = 0;
-  uint64_t latency_spikes_ = 0;
-  uint64_t crashes_ = 0;
-  uint64_t restarts_ = 0;
-
-  metrics::Counter* drops_c_ = metrics::Counter::Noop();
-  metrics::Counter* partition_drops_c_ = metrics::Counter::Noop();
-  metrics::Counter* spikes_c_ = metrics::Counter::Noop();
-  metrics::Counter* crashes_c_ = metrics::Counter::Noop();
-  metrics::Counter* restarts_c_ = metrics::Counter::Noop();
+  metrics::Counter drops_;
+  metrics::Counter partition_drops_;
+  metrics::Counter latency_spikes_;
+  metrics::Counter crashes_;
+  metrics::Counter restarts_;
 };
 
 }  // namespace bestpeer::sim

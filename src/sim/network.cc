@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -23,10 +22,10 @@ SimNetwork::SimNetwork(Simulator* sim, NetworkOptions options)
   }
   if (options_.metrics != nullptr) {
     metrics::Registry* reg = options_.metrics;
-    messages_sent_c_ = reg->GetCounter("net.messages_sent");
-    messages_dropped_c_ = reg->GetCounter("net.messages_dropped");
-    wire_bytes_c_ = reg->GetCounter("net.wire_bytes");
-    queue_wait_us_c_ = reg->GetCounter("net.queue_wait_us");
+    messages_sent_.set_total(reg->GetCounter("net.messages_sent"));
+    messages_dropped_.set_total(reg->GetCounter("net.messages_dropped"));
+    total_wire_bytes_.set_total(reg->GetCounter("net.wire_bytes"));
+    queue_wait_total_ = reg->GetCounter("net.queue_wait_us");
     delivery_latency_us_ = reg->GetHistogram("net.delivery_latency_us");
   }
 }
@@ -39,11 +38,12 @@ NodeId SimNetwork::AddNode(int cpu_threads) {
       std::make_unique<CpuModel>(sim_, threads, options_.metrics, id);
   if (options_.metrics != nullptr) {
     const metrics::LabelSet labels = {{"node", std::to_string(id)}};
-    node.bytes_sent_c = options_.metrics->GetCounter("net.node_bytes_sent",
-                                                     labels);
-    node.bytes_received_c =
-        options_.metrics->GetCounter("net.node_bytes_received", labels);
+    node.bytes_sent.set_total(
+        options_.metrics->GetCounter("net.node_bytes_sent", labels));
+    node.bytes_received.set_total(
+        options_.metrics->GetCounter("net.node_bytes_received", labels));
   }
+  node.queue_wait.set_total(queue_wait_total_);
   nodes_.push_back(std::move(node));
   return id;
 }
@@ -61,11 +61,6 @@ void SimNetwork::RegisterTypeName(uint32_t type, std::string name) {
     flight->RegisterTypeName(type, name);
   }
   type_names_[type] = std::move(name);
-}
-
-std::string_view SimNetwork::TypeName(uint32_t type) const {
-  auto it = type_names_.find(type);
-  return it == type_names_.end() ? std::string_view() : it->second;
 }
 
 SimTime SimNetwork::TxTime(size_t bytes) const {
@@ -118,14 +113,7 @@ void SimNetwork::TraceMessage(const SimMessage& msg, SimTime sent,
   trace::TraceRecorder* recorder = sim_->trace();
   if (recorder == nullptr) return;
   trace::Span span;
-  std::string_view name = TypeName(msg.type);
-  if (name.empty()) {
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "msg:%08x", msg.type);
-    span.name = buf;
-  } else {
-    span.name = std::string(name);
-  }
+  span.name = trace::MessageName(type_names_, msg.type);
   if (dropped) span.name += " (dropped)";
   span.cat = "net";
   span.tid = msg.dst;
@@ -164,8 +152,7 @@ void SimNetwork::Send(NodeId src, NodeId dst, uint32_t type, Bytes payload,
   // A crashed/offline sender transmits nothing: its queued sends (e.g.
   // CPU work that completes after the crash) vanish at the source.
   if (!sender.online) {
-    ++messages_dropped_;
-    messages_dropped_c_->Increment();
+    messages_dropped_.Increment();
     FlightMessage(obs::EventType::kMsgDrop, *msg,
                   obs::DropCause::kSenderOffline, msg->id);
     TraceMessage(*msg, send_time, send_time, /*dropped=*/true);
@@ -178,17 +165,13 @@ void SimNetwork::Send(NodeId src, NodeId dst, uint32_t type, Bytes payload,
   SimTime up_start = std::max(send_time, sender.uplink_free_at);
   SimTime up_done = up_start + tx;
   sender.uplink_free_at = up_done;
-  sender.bytes_sent += msg->wire_size;
-  sender.queue_wait += up_start - send_time;
-  ++messages_sent_;
-  total_wire_bytes_ += msg->wire_size;
-  messages_sent_c_->Increment();
-  wire_bytes_c_->Add(msg->wire_size);
-  sender.bytes_sent_c->Add(msg->wire_size);
-  queue_wait_us_c_->Add(static_cast<uint64_t>(up_start - send_time));
+  const SimTime up_wait = up_start - send_time;
+  sender.bytes_sent.Add(msg->wire_size);
+  sender.queue_wait.Add(static_cast<uint64_t>(up_wait));
+  messages_sent_.Increment();
+  total_wire_bytes_.Add(msg->wire_size);
   FlightMessage(obs::EventType::kMsgSend, *msg, obs::DropCause::kNone,
                 msg->id);
-  const SimTime up_wait = up_start - send_time;
 
   // Both endpoints' extra propagation delay applies: a slow link is slow
   // in either direction, whichever side of the transfer it sits on.
@@ -201,8 +184,7 @@ void SimNetwork::Send(NodeId src, NodeId dst, uint32_t type, Bytes payload,
   if (FaultInjector* faults = sim_->fault()) {
     FaultDecision decision = faults->OnSend(src, dst);
     if (decision.drop) {
-      ++messages_dropped_;
-      messages_dropped_c_->Increment();
+      messages_dropped_.Increment();
       FlightMessage(obs::EventType::kMsgDrop, *msg,
                     decision.partition ? obs::DropCause::kPartition
                                        : obs::DropCause::kFaultLoss,
@@ -224,8 +206,7 @@ void SimNetwork::Send(NodeId src, NodeId dst, uint32_t type, Bytes payload,
   sim_->ScheduleAt(arrival, [this, msg, rx_tx, send_time, up_wait]() {
     Node& receiver = nodes_[msg->dst];
     if (!receiver.online) {
-      ++messages_dropped_;
-      messages_dropped_c_->Increment();
+      messages_dropped_.Increment();
       FlightMessage(obs::EventType::kMsgDrop, *msg,
                     obs::DropCause::kReceiverOffline, msg->id);
       TraceMessage(*msg, send_time, sim_->now(), /*dropped=*/true);
@@ -242,17 +223,14 @@ void SimNetwork::Send(NodeId src, NodeId dst, uint32_t type, Bytes payload,
     sim_->ScheduleAt(rx_done, [this, msg, send_time, up_wait, rx_wait]() {
       Node& node = nodes_[msg->dst];
       if (!node.online) {
-        ++messages_dropped_;
-        messages_dropped_c_->Increment();
+        messages_dropped_.Increment();
         FlightMessage(obs::EventType::kMsgDrop, *msg,
                       obs::DropCause::kReceiverDied, msg->id);
         TraceMessage(*msg, send_time, sim_->now(), /*dropped=*/true);
         return;
       }
-      node.queue_wait += rx_wait;
-      queue_wait_us_c_->Add(static_cast<uint64_t>(rx_wait));
-      node.bytes_received += msg->wire_size;
-      node.bytes_received_c->Add(msg->wire_size);
+      node.queue_wait.Add(static_cast<uint64_t>(rx_wait));
+      node.bytes_received.Add(msg->wire_size);
       delivery_latency_us_->Observe(
           static_cast<double>(sim_->now() - send_time));
       FlightMessage(obs::EventType::kMsgDeliver, *msg, obs::DropCause::kNone,
@@ -290,17 +268,17 @@ CpuModel& SimNetwork::Cpu(NodeId node) {
 
 uint64_t SimNetwork::node_bytes_sent(NodeId node) const {
   assert(node < nodes_.size());
-  return nodes_[node].bytes_sent;
+  return nodes_[node].bytes_sent.value();
 }
 
 uint64_t SimNetwork::node_bytes_received(NodeId node) const {
   assert(node < nodes_.size());
-  return nodes_[node].bytes_received;
+  return nodes_[node].bytes_received.value();
 }
 
 SimTime SimNetwork::node_queue_wait(NodeId node) const {
   assert(node < nodes_.size());
-  return nodes_[node].queue_wait;
+  return static_cast<SimTime>(nodes_[node].queue_wait.value());
 }
 
 }  // namespace bestpeer::sim

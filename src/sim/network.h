@@ -57,7 +57,8 @@ struct NetworkOptions {
   /// protocol layer; nodes default to enough threads to overlap work).
   int cpu_threads = 4;
   /// Metrics sink for this network and its nodes' CPUs (not owned; must
-  /// outlive the network). nullptr routes increments to no-op handles.
+  /// outlive the network). Without one, the counts behind the accessors
+  /// are still kept and every other instrument is a no-op.
   metrics::Registry* metrics = nullptr;
 };
 
@@ -124,13 +125,10 @@ class SimNetwork {
   /// as "msg:<hex>".
   void RegisterTypeName(uint32_t type, std::string name);
 
-  /// The registered name for `type`, or "" when unregistered.
-  std::string_view TypeName(uint32_t type) const;
-
   /// Aggregate counters.
-  uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
-  uint64_t total_wire_bytes() const { return total_wire_bytes_; }
+  uint64_t messages_sent() const { return messages_sent_.value(); }
+  uint64_t messages_dropped() const { return messages_dropped_.value(); }
+  uint64_t total_wire_bytes() const { return total_wire_bytes_.value(); }
   uint64_t node_bytes_sent(NodeId node) const;
   uint64_t node_bytes_received(NodeId node) const;
 
@@ -155,11 +153,10 @@ class SimNetwork {
     std::unique_ptr<CpuModel> cpu;
     Handler handler;
     bool online = true;
-    uint64_t bytes_sent = 0;
-    uint64_t bytes_received = 0;
-    SimTime queue_wait = 0;
-    metrics::Counter* bytes_sent_c = metrics::Counter::Noop();
-    metrics::Counter* bytes_received_c = metrics::Counter::Noop();
+    metrics::Counter bytes_sent;
+    metrics::Counter bytes_received;
+    /// Microseconds; its total is the fleet-wide net.queue_wait_us.
+    metrics::Counter queue_wait;
   };
 
   /// Records one wire span on the trace recorder (tracing enabled only).
@@ -180,14 +177,13 @@ class SimNetwork {
   TraceFn trace_;
   std::map<uint32_t, std::string> type_names_;
   uint64_t next_message_id_ = 1;
-  uint64_t messages_sent_ = 0;
-  uint64_t messages_dropped_ = 0;
-  uint64_t total_wire_bytes_ = 0;
+  metrics::Counter messages_sent_;
+  metrics::Counter messages_dropped_;
+  metrics::Counter total_wire_bytes_;
 
-  metrics::Counter* messages_sent_c_ = metrics::Counter::Noop();
-  metrics::Counter* messages_dropped_c_ = metrics::Counter::Noop();
-  metrics::Counter* wire_bytes_c_ = metrics::Counter::Noop();
-  metrics::Counter* queue_wait_us_c_ = metrics::Counter::Noop();
+  /// net.queue_wait_us, the total every node's queue_wait feeds (nullptr
+  /// without a registry).
+  metrics::Counter* queue_wait_total_ = nullptr;
   metrics::Histogram* delivery_latency_us_ = metrics::Histogram::Noop();
 };
 

@@ -43,11 +43,11 @@ BufferPool::BufferPool(Pager* pager,
     if (!options.metrics_label.empty()) {
       labels.emplace_back("node", options.metrics_label);
     }
-    hits_c_ = options.metrics->GetCounter("storm.pool_hits", labels);
-    misses_c_ = options.metrics->GetCounter("storm.pool_misses", labels);
-    evictions_c_ = options.metrics->GetCounter("storm.pool_evictions", labels);
-    writebacks_c_ =
-        options.metrics->GetCounter("storm.pool_writebacks", labels);
+    metrics::Registry* reg = options.metrics;
+    hits_.set_total(reg->GetCounter("storm.pool_hits", labels));
+    misses_.set_total(reg->GetCounter("storm.pool_misses", labels));
+    evictions_.set_total(reg->GetCounter("storm.pool_evictions", labels));
+    writebacks_.set_total(reg->GetCounter("storm.pool_writebacks", labels));
   }
 }
 
@@ -76,14 +76,12 @@ Result<FrameId> BufferPool::AcquireFrame() {
   assert(frame.in_use && frame.pins == 0);
   if (frame.dirty) {
     BP_RETURN_IF_ERROR(pager_->Write(frame.page_id, *frame.page));
-    ++writebacks_;
-    writebacks_c_->Increment();
+    writebacks_.Increment();
   }
   page_table_.erase(frame.page_id);
   frame.in_use = false;
   frame.dirty = false;
-  ++evictions_;
-  evictions_c_->Increment();
+  evictions_.Increment();
   return *victim;
 }
 
@@ -93,12 +91,10 @@ Result<PageGuard> BufferPool::Fetch(PageId id) {
     Frame& frame = frames_[it->second];
     if (frame.pins == 0) policy_->OnPinned(it->second);
     ++frame.pins;
-    ++hits_;
-    hits_c_->Increment();
+    hits_.Increment();
     return PageGuard(this, id, frame.page.get());
   }
-  ++misses_;
-  misses_c_->Increment();
+  misses_.Increment();
   BP_ASSIGN_OR_RETURN(FrameId f, AcquireFrame());
   Frame& frame = frames_[f];
   Status s = pager_->Read(id, frame.page.get());
@@ -143,8 +139,7 @@ Status BufferPool::FlushAll() {
     if (frame.in_use && frame.dirty) {
       BP_RETURN_IF_ERROR(pager_->Write(frame.page_id, *frame.page));
       frame.dirty = false;
-      ++writebacks_;
-      writebacks_c_->Increment();
+      writebacks_.Increment();
     }
   }
   return pager_->Sync();

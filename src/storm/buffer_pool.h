@@ -89,10 +89,10 @@ class BufferPool {
   Status FlushAll();
 
   /// Statistics.
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  uint64_t evictions() const { return evictions_; }
-  uint64_t writebacks() const { return writebacks_; }
+  uint64_t hits() const { return hits_.value(); }
+  uint64_t misses() const { return misses_.value(); }
+  uint64_t evictions() const { return evictions_.value(); }
+  uint64_t writebacks() const { return writebacks_.value(); }
   size_t frame_count() const { return frames_.size(); }
   std::string_view policy_name() const { return policy_->name(); }
   Pager* pager() { return pager_; }
@@ -120,15 +120,10 @@ class BufferPool {
   std::vector<FrameId> free_frames_;
   std::unordered_map<PageId, FrameId> page_table_;
 
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t writebacks_ = 0;
-
-  metrics::Counter* hits_c_ = metrics::Counter::Noop();
-  metrics::Counter* misses_c_ = metrics::Counter::Noop();
-  metrics::Counter* evictions_c_ = metrics::Counter::Noop();
-  metrics::Counter* writebacks_c_ = metrics::Counter::Noop();
+  metrics::Counter hits_;
+  metrics::Counter misses_;
+  metrics::Counter evictions_;
+  metrics::Counter writebacks_;
 };
 
 }  // namespace bestpeer::storm

@@ -18,20 +18,35 @@ namespace bestpeer::metrics {
 /// so callers may pass them in any order.
 using LabelSet = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing count. Incrementing is a single add on a
-/// pointer-stable handle — cheap enough for the network send path.
+/// Monotonically increasing count. Incrementing is an add (one more on
+/// its total, if any) — cheap enough for the network send path.
+///
+/// A counter may have a *total*: another counter that every Add and
+/// Increment also bumps. A component owns one Counter per event — its
+/// value() is the per-object count — and, when given a registry, points
+/// the counter's total at the registry's instrument, so the fleet-wide
+/// figure is fed by the same increment.
 class Counter {
  public:
-  void Add(uint64_t delta) { value_ += delta; }
-  void Increment() { ++value_; }
+  void Add(uint64_t delta) {
+    value_ += delta;
+    if (total_ != nullptr) total_->Add(delta);
+  }
+  void Increment() { Add(1); }
   uint64_t value() const { return value_; }
 
-  /// A shared sink for components constructed without a registry: writes
-  /// land in a dummy nobody reads, so hot paths never branch on nullptr.
+  /// Every later increment also lands on `total` (not owned; nullptr
+  /// detaches). Increments made before the call are not forwarded.
+  void set_total(Counter* total) { total_ = total; }
+
+  /// A shared sink for registry handles of components constructed without
+  /// a registry: writes land in a dummy nobody reads, so hot paths never
+  /// branch on nullptr.
   static Counter* Noop();
 
  private:
   uint64_t value_ = 0;
+  Counter* total_ = nullptr;
 };
 
 /// A value that can go up and down (queue depths, cache occupancy).

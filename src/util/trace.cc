@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "util/hash.h"
 #include "util/json_writer.h"
@@ -16,6 +17,32 @@ namespace {
 constexpr size_t kMaxRememberedFlows = 8192;
 
 }  // namespace
+
+std::string MessageName(const std::map<uint32_t, std::string>& names,
+                        uint32_t type) {
+  auto it = names.find(type);
+  if (it != names.end()) return it->second;
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "msg:%08x", type);
+  return buf;
+}
+
+Span CpuSpan(const char* name, uint32_t tid, SimTime now, SimTime start,
+             SimTime dur, uint64_t flow,
+             std::vector<std::pair<std::string, uint64_t>> args) {
+  Span span;
+  span.name = name;
+  span.cat = "cpu";
+  span.tid = tid;
+  span.ts = start;
+  span.dur = dur;
+  span.flow = flow;
+  span.args = std::move(args);
+  if (start > now) {
+    span.args.emplace_back("qwait", static_cast<uint64_t>(start - now));
+  }
+  return span;
+}
 
 TraceRecorder::TraceRecorder(TraceRecorderOptions options)
     : capacity_(options.ring_capacity == 0 ? 1 : options.ring_capacity),
@@ -33,7 +60,8 @@ TraceRecorder::TraceRecorder(TraceRecorderOptions options)
   if (options.metrics != nullptr) {
     spans_recorded_c_ = options.metrics->GetCounter("trace.spans_recorded");
     spans_dropped_c_ = options.metrics->GetCounter("trace.spans_dropped");
-    flows_sampled_c_ = options.metrics->GetCounter("trace.flows_sampled");
+    flows_sampled_.set_total(
+        options.metrics->GetCounter("trace.flows_sampled"));
   }
 }
 
@@ -57,8 +85,7 @@ bool TraceRecorder::NoteSampledFlow(FlowId flow) {
     sampled_set_.erase(sampled_fifo_.front());
     sampled_fifo_.pop_front();
   }
-  ++flows_sampled_;
-  flows_sampled_c_->Increment();
+  flows_sampled_.Increment();
   return true;
 }
 

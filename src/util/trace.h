@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -37,6 +38,20 @@ struct Span {
   /// Numeric extras (src, dst, wire bytes, answers, ...).
   std::vector<std::pair<std::string, uint64_t>> args;
 };
+
+/// The span name of message `type`: its entry in `names`, or
+/// "msg:<8 hex digits>" when it has none. Both transports and the flight
+/// recorder name messages this way.
+std::string MessageName(const std::map<uint32_t, std::string>& names,
+                        uint32_t type);
+
+/// The span of one CPU task, the same on both backends so critical-path
+/// analysis and bpstitch read them alike: `name` ran on node `tid` for
+/// `dur` µs from `start`, tied to `flow`, with `args` plus "qwait" when
+/// the task queued behind earlier ones (`start` > `now`).
+Span CpuSpan(const char* name, uint32_t tid, SimTime now, SimTime start,
+             SimTime dur, uint64_t flow,
+             std::vector<std::pair<std::string, uint64_t>> args);
 
 /// Knobs for a recorder. The defaults reproduce the original simulator
 /// behaviour for any realistic run: everything sampled, a ring large
@@ -119,7 +134,7 @@ class TraceRecorder {
     return recorded_ > capacity_ ? recorded_ - capacity_ : 0;
   }
   /// Distinct flows seen sampled (locally decided or force-sampled).
-  uint64_t flows_sampled() const { return flows_sampled_; }
+  uint64_t flows_sampled() const { return flows_sampled_.value(); }
   double sample_rate() const { return sample_rate_; }
 
   /// The sampled flows currently remembered (bounded; newest kept).
@@ -150,7 +165,7 @@ class TraceRecorder {
   std::vector<Span> spans_;  ///< Ring once recorded_ > capacity_.
   size_t next_ = 0;          ///< Ring write cursor.
   uint64_t recorded_ = 0;
-  uint64_t flows_sampled_ = 0;
+  metrics::Counter flows_sampled_;
 
   /// Flows known sampled: hash-positive flows seen plus force-sampled
   /// ones. Bounded FIFO so a long-lived process cannot grow it forever;
@@ -161,7 +176,6 @@ class TraceRecorder {
 
   metrics::Counter* spans_recorded_c_ = metrics::Counter::Noop();
   metrics::Counter* spans_dropped_c_ = metrics::Counter::Noop();
-  metrics::Counter* flows_sampled_c_ = metrics::Counter::Noop();
 };
 
 }  // namespace bestpeer::trace

@@ -65,7 +65,7 @@ CachedSlice Slice(uint64_t source, uint64_t epoch, size_t n_ids = 4) {
 }
 
 TEST(ResultCacheTest, MissThenInsertThenHit) {
-  ResultCache rc({});
+  ResultCache rc({});  // No registry: the cache still counts on its own.
   EXPECT_EQ(rc.ProbeSlice("needle", 7, 1), nullptr);
   EXPECT_EQ(rc.misses(), 1u);
 
@@ -191,6 +191,28 @@ TEST(ResultCacheTest, ExportsMetrics) {
   EXPECT_DOUBLE_EQ(snapshot.Value("cache.insertions"), 1.0);
   EXPECT_DOUBLE_EQ(snapshot.Value("cache.invalidations"), 1.0);
   EXPECT_DOUBLE_EQ(snapshot.Value("cache.bytes"), 0.0);
+}
+
+TEST(ResultCacheTest, CachesOnOneRegistryKeepTheirOwnCounts) {
+  metrics::Registry registry;
+  ResultCacheOptions options;
+  options.metrics = &registry;
+  ResultCache a(options);
+  ResultCache b(options);
+  ASSERT_TRUE(a.InsertSlice("needle", Slice(7, 1)));
+  a.ProbeSlice("needle", 7, 1);
+  a.ProbeSlice("needle", 7, 1);
+  b.ProbeSlice("needle", 7, 1);
+  ASSERT_TRUE(b.InsertSlice("needle", Slice(7, 1)));
+  b.ProbeSlice("needle", 7, 1);
+
+  EXPECT_EQ(a.hits(), 2u);
+  EXPECT_EQ(a.misses(), 0u);
+  EXPECT_EQ(b.hits(), 1u);
+  EXPECT_EQ(b.misses(), 1u);
+  auto snapshot = registry.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(snapshot.Value("cache.hits"), 3.0);
+  EXPECT_DOUBLE_EQ(snapshot.Value("cache.misses"), 1.0);
 }
 
 // --- replica manager ------------------------------------------------------

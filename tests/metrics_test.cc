@@ -8,11 +8,35 @@ namespace {
 // ---------------------------------------------------------------- Instruments
 
 TEST(CounterTest, AddAndIncrement) {
-  Counter c;
+  Counter c;  // No total: counts on its own.
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   c.Add(41);
   EXPECT_EQ(c.value(), 42u);
+}
+
+TEST(CounterTest, AddAndIncrementReachTheTotal) {
+  Counter total;
+  Counter c;
+  c.set_total(&total);
+  c.Increment();
+  c.Add(41);
+  EXPECT_EQ(c.value(), 42u);
+  EXPECT_EQ(total.value(), 42u);
+}
+
+TEST(CounterTest, CountersSharingATotalKeepTheirOwnValues) {
+  Counter total;
+  Counter a;
+  Counter b;
+  a.set_total(&total);
+  b.set_total(&total);
+  a.Add(3);
+  b.Increment();
+  b.Add(5);
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 6u);
+  EXPECT_EQ(total.value(), 9u);
 }
 
 TEST(GaugeTest, SetAndAdd) {
