@@ -53,7 +53,7 @@ RunOutcome RunDirectSearch(size_t store_objects, core::ShippingMode mode,
   uint64_t last_query = 0;
   for (size_t r = 0; r < rounds; ++r) {
     last_query = requester
-                     ->IssueDirectSearch(
+                     ->shipping().IssueDirectSearch(
                          workload::CorpusGenerator::kNeedle, mode)
                      .value();
     simulator.RunUntilIdle();

@@ -179,7 +179,8 @@ void RunTcpArm() {
       "TCP arm (%zu nodes, %zu queries): answers=%zu remote_hits=%llu "
       "responder hit rate=%.1f%%%s\n",
       kNodes, kQueries, answers,
-      static_cast<unsigned long long>(nodes[0]->cache_remote_hits()),
+      static_cast<unsigned long long>(
+          nodes[0]->cache_probe()->cache_remote_hits()),
       probes == 0 ? 0.0
                   : 100.0 * static_cast<double>(hits) /
                         static_cast<double>(probes),

@@ -36,7 +36,7 @@ int main() {
 
   // The owner registers the active node and builds the active object:
   // a mix of plain data elements and a filtered element.
-  hospital->active_nodes()
+  hospital->active_objects().active_nodes()
       .Register("redact-secrets", core::RedactSecretsActiveNode)
       .ok();
   core::ActiveObject report;
@@ -46,7 +46,7 @@ int main() {
       "redact-secrets",
       ToBytes("Identity: [SECRET]Jane Doe, NRIC S1234567A[/SECRET]\n"));
   report.AddDataElement(ToBytes("Treatment: antihistamines.\n"));
-  hospital->ShareActiveObject("report-2026-07", report);
+  hospital->active_objects().ShareActiveObject("report-2026-07", report);
 
   auto print_view = [](const char* who, Result<Bytes> content) {
     if (!content.ok()) {
@@ -59,12 +59,12 @@ int main() {
 
   // A researcher (public access) and the physician (owner access)
   // request the same object; the hospital renders per access level.
-  researcher->RequestActiveObject(
+  researcher->active_objects().RequestActiveObject(
       hospital->node(), "report-2026-07", core::AccessLevel::kPublic,
       [&](Result<Bytes> content) {
         print_view("researcher (public)", std::move(content));
       });
-  physician->RequestActiveObject(
+  physician->active_objects().RequestActiveObject(
       hospital->node(), "report-2026-07", core::AccessLevel::kOwner,
       [&](Result<Bytes> content) {
         print_view("physician (owner)", std::move(content));

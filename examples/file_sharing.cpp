@@ -75,7 +75,7 @@ int main() {
                 session->total_answers(),
                 FormatSimTime(session->completion_time()).c_str());
     std::printf("   direct peers:");
-    for (auto p : me.DirectPeerNodes()) std::printf(" %u", p);
+    for (auto p : me.peers().Nodes()) std::printf(" %u", p);
     std::printf("\n");
     me.Reconfigure(query).ok();
     simulator.RunUntilIdle();

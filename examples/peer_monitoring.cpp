@@ -61,7 +61,7 @@ int main() {
   simulator.RunUntilIdle();
 
   // Subscribe to the publisher's store changes.
-  subscriber->WatchPeer(
+  subscriber->watch().WatchPeer(
       publisher->node(),
       [&](NodeId, core::UpdateNotifyMessage::Kind kind,
           storm::ObjectId id) {

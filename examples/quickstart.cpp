@@ -71,7 +71,7 @@ int main() {
   alice->Reconfigure(query).ok();
   simulator.RunUntilIdle();
   std::printf("alice's direct peers after reconfiguration:");
-  for (auto peer : alice->DirectPeerNodes()) std::printf(" %u", peer);
+  for (auto peer : alice->peers().Nodes()) std::printf(" %u", peer);
   std::printf("\n");
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "core/messages.h"
 
+#include "storm/storm.h"
+
 namespace bestpeer::core {
 
 namespace {
@@ -13,8 +15,17 @@ void EncodeItems(BinaryWriter& w, const std::vector<ResultItem>& items) {
   }
 }
 
-Result<std::vector<ResultItem>> DecodeItems(BinaryReader& r) {
+/// Reads an element count; every element takes at least one byte, so a
+/// count past the remaining payload is corrupt (and must not size a
+/// reserve).
+Result<uint64_t> ReadCount(BinaryReader& r) {
   BP_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarint());
+  if (n > r.remaining()) return Status::Corruption("count exceeds payload");
+  return n;
+}
+
+Result<std::vector<ResultItem>> DecodeItems(BinaryReader& r) {
+  BP_ASSIGN_OR_RETURN(uint64_t n, ReadCount(r));
   std::vector<ResultItem> items;
   items.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -28,6 +39,11 @@ Result<std::vector<ResultItem>> DecodeItems(BinaryReader& r) {
 }
 
 }  // namespace
+
+Result<ResultItem> ReadShared(storm::Storm& store, storm::ObjectId id) {
+  BP_ASSIGN_OR_RETURN(Bytes content, store.Get(id));
+  return ResultItem{id, "obj-" + std::to_string(id), std::move(content)};
+}
 
 Bytes SearchResultMessage::Encode() const {
   BinaryWriter w;
@@ -92,21 +108,6 @@ Result<DataShipRequest> DataShipRequest::Decode(const Bytes& data) {
   return m;
 }
 
-Bytes DataShipResponse::Encode() const {
-  BinaryWriter w;
-  w.WriteU64(query_id);
-  EncodeItems(w, items);
-  return w.Take();
-}
-
-Result<DataShipResponse> DataShipResponse::Decode(const Bytes& data) {
-  BinaryReader r(data);
-  DataShipResponse m;
-  BP_ASSIGN_OR_RETURN(m.query_id, r.ReadU64());
-  BP_ASSIGN_OR_RETURN(m.items, DecodeItems(r));
-  return m;
-}
-
 Bytes FetchRequestMessage::Encode() const {
   BinaryWriter w;
   w.WriteU64(query_id);
@@ -119,7 +120,7 @@ Result<FetchRequestMessage> FetchRequestMessage::Decode(const Bytes& data) {
   BinaryReader r(data);
   FetchRequestMessage m;
   BP_ASSIGN_OR_RETURN(m.query_id, r.ReadU64());
-  BP_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarint());
+  BP_ASSIGN_OR_RETURN(uint64_t n, ReadCount(r));
   m.ids.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     BP_ASSIGN_OR_RETURN(storm::ObjectId id, r.ReadU64());

@@ -11,6 +11,10 @@
 #include "util/bytes.h"
 #include "util/result.h"
 
+namespace bestpeer::storm {
+class Storm;
+}  // namespace bestpeer::storm
+
 namespace bestpeer::core {
 
 /// BestPeer wire message types (agent transfers use
@@ -27,6 +31,11 @@ constexpr uint32_t kDataShipRespType = 0x42500009;
 constexpr uint32_t kWatchReqType = 0x4250000B;
 constexpr uint32_t kUpdateNotifyType = 0x4250000C;
 constexpr uint32_t kCacheReplicaPushType = 0x4250000D;
+/// Carries an encoded storm::ContentSummary: a peer's Bloom filter and
+/// top keywords over its shared store's keyword index, sent at connect and
+/// reconfiguration time and re-broadcast when the sender's index epoch
+/// moves. The receiving base node skips direct peers whose summary
+/// provably excludes every DNF branch of a query.
 constexpr uint32_t kPeerSummaryType = 0x4250000E;
 
 /// One matched object inside a result or fetch response. Mode-1 results
@@ -36,6 +45,10 @@ struct ResultItem {
   std::string name;
   Bytes content;
 };
+
+/// The shared object `id` of `store` as a result item with its content
+/// (fails when not stored).
+Result<ResultItem> ReadShared(storm::Storm& store, storm::ObjectId id);
 
 /// A search result sent *directly* to the base node by a peer whose store
 /// matched the query (out-of-network return, paper §2). Carries the Hops
@@ -89,15 +102,6 @@ struct DataShipRequest {
   static Result<DataShipRequest> Decode(const Bytes& data);
 };
 
-/// The peer's store contents, shipped back for local processing.
-struct DataShipResponse {
-  uint64_t query_id = 0;
-  std::vector<ResultItem> items;
-
-  Bytes Encode() const;
-  static Result<DataShipResponse> Decode(const Bytes& data);
-};
-
 /// Mode-2 follow-up: the initiator asks a responder for object contents.
 struct FetchRequestMessage {
   uint64_t query_id = 0;
@@ -115,6 +119,10 @@ struct FetchResponseMessage {
   Bytes Encode() const;
   static Result<FetchResponseMessage> Decode(const Bytes& data);
 };
+
+/// The peer's store contents, shipped back for local processing: a fetch
+/// response for every object the peer shares.
+using DataShipResponse = FetchResponseMessage;
 
 /// Watch subscription: the sender wants kUpdateNotifyType messages when
 /// the receiver's shared store changes (§3.4: "a node may particularly
@@ -134,22 +142,6 @@ struct UpdateNotifyMessage {
 
   Bytes Encode() const;
   static Result<UpdateNotifyMessage> Decode(const Bytes& data);
-};
-
-/// A peer's content summary (Bloom filter + top keywords over its shared
-/// store's keyword index), exchanged at connect/reconfiguration time and
-/// re-broadcast when the sender's index epoch moves. The receiving base
-/// node skips direct peers whose summary provably excludes every DNF
-/// branch of a query.
-struct PeerSummaryMessage {
-  storm::ContentSummary summary;
-
-  Bytes Encode() const { return summary.Encode(); }
-  static Result<PeerSummaryMessage> Decode(const Bytes& data) {
-    PeerSummaryMessage msg;
-    BP_ASSIGN_OR_RETURN(msg.summary, storm::ContentSummary::Decode(data));
-    return msg;
-  }
 };
 
 /// Request to render a named active object at `level` access.

@@ -2,12 +2,16 @@
 #define BESTPEER_CORE_SESSION_H_
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/config.h"
 #include "core/reconfig_strategy.h"
+#include "net/transport.h"
 #include "util/ids.h"
+#include "util/metrics.h"
 #include "util/sim_time.h"
 
 namespace bestpeer::core {
@@ -98,6 +102,51 @@ class QuerySession {
   /// can still arrive.
   std::vector<uint64_t> reported_ids_;
   bool finalized_ = false;
+};
+
+/// The queries one node issued, by id. Every result path finds its
+/// session through Live, so a result for an unknown query is ignored and
+/// one for a finalized query is dropped and counted as late.
+class SessionTable {
+ public:
+  /// `finalize` closes a query when its `deadline` elapses (0 = never).
+  SessionTable(net::Transport* transport, SimTime deadline,
+               metrics::Registry* metrics,
+               std::function<void(uint64_t)> finalize);
+
+  /// A fresh query id: the node id in the high 32 bits.
+  uint64_t NextId() {
+    return (static_cast<uint64_t>(transport_->local()) << 32) | ++counter_;
+  }
+  /// Opens the session of a query being issued.
+  void Open(uint64_t query_id, std::string keyword, AnswerMode mode);
+  /// Arms the deadline timer for `query_id` (no-op when disabled).
+  void ArmDeadline(uint64_t query_id);
+
+  /// The open session of `query_id`, or nullptr when it is unknown or
+  /// finalized (a finalized one counts the caller's result as late).
+  QuerySession* Live(uint64_t query_id);
+  const QuerySession* Find(uint64_t query_id) const;
+  /// Freezes the session's answer set. Returns it, or nullptr when it is
+  /// unknown or already final.
+  const QuerySession* Finalize(uint64_t query_id);
+
+  size_t inflight() const;
+  /// Results that arrived after their session was finalized (dropped).
+  uint64_t late_results() const { return late_results_.value(); }
+  /// Sessions closed by a deadline.
+  uint64_t sessions_finalized() const { return sessions_finalized_.value(); }
+
+ private:
+  net::Transport* transport_;
+  SimTime deadline_;
+  std::function<void(uint64_t)> finalize_;
+  std::map<uint64_t, QuerySession> sessions_;
+  uint32_t counter_ = 0;
+  metrics::Counter late_results_;
+  metrics::Counter sessions_finalized_;
+  metrics::Counter* queries_issued_c_ = metrics::Counter::Noop();
+  metrics::Gauge* inflight_g_ = metrics::Gauge::Noop();
 };
 
 }  // namespace bestpeer::core

@@ -86,7 +86,7 @@ TEST_F(CacheFixture, RepeatQueryBecomesNotModifiedAndSavesWire) {
   const QuerySession* first = Query();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->unique_answers(), 4u);
-  EXPECT_EQ(nodes_[0]->cache_remote_hits(), 0u);
+  EXPECT_EQ(nodes_[0]->cache_probe()->cache_remote_hits(), 0u);
   const uint64_t wire_first = network_->total_wire_bytes();
 
   const QuerySession* second = Query();
@@ -94,9 +94,9 @@ TEST_F(CacheFixture, RepeatQueryBecomesNotModifiedAndSavesWire) {
   EXPECT_EQ(second->unique_answers(), 4u)
       << "cached answers must match the fresh ones";
   EXPECT_EQ(second->responder_count(), 2u);
-  EXPECT_EQ(nodes_[0]->cache_remote_hits(), 2u)
+  EXPECT_EQ(nodes_[0]->cache_probe()->cache_remote_hits(), 2u)
       << "both responders should reply not-modified";
-  EXPECT_EQ(nodes_[0]->cache_notmod_orphans(), 0u);
+  EXPECT_EQ(nodes_[0]->cache_probe()->cache_notmod_orphans(), 0u);
   for (size_t i : {1u, 2u}) {
     EXPECT_GE(nodes_[i]->result_cache()->hits(), 1u);
   }
@@ -148,7 +148,7 @@ TEST_F(CacheFixture, HotAnswersReplicateTowardTheBase) {
   // Two more serves push the key past the hot threshold at node 4.
   Query();
   Query();
-  EXPECT_GE(nodes_[4]->replica_pushes(), 1u);
+  EXPECT_GE(nodes_[4]->replicas().replica_pushes(), 1u);
   for (storm::ObjectId id : ids_[4]) {
     EXPECT_TRUE(nodes_[3]->storage()->Contains(id))
         << "the hot answers should now be replicated at node 3";
@@ -175,9 +175,9 @@ TEST_F(CacheFixture, ReplicaTtlExpiresTheCopyAndItsBookkeeping) {
   ASSERT_EQ(Query()->unique_answers(), 2u);
   // RunUntilIdle drained the TTL timer too: the replica pushed to node 1
   // must already be stored, expired, and deleted again.
-  EXPECT_EQ(nodes_[1]->replicas_stored(), 2u);
-  EXPECT_EQ(nodes_[1]->replicas_expired(), 2u);
-  EXPECT_EQ(nodes_[1]->replica_manager()->replica_count(), 0u);
+  EXPECT_EQ(nodes_[1]->replicas().replicas_stored(), 2u);
+  EXPECT_EQ(nodes_[1]->replicas().replicas_expired(), 2u);
+  EXPECT_EQ(nodes_[1]->replicas().replica_manager()->replica_count(), 0u);
   for (storm::ObjectId id : ids_[2]) {
     EXPECT_FALSE(nodes_[1]->storage()->Contains(id));
   }
@@ -202,16 +202,16 @@ TEST_F(CacheFixture, ReplicaPushDroppedByCrashThenRecoversAndExpires) {
   faults->ScheduleCrash(nodes_[2]->node(), /*crash_at=*/1,
                         /*down_for=*/Seconds(1));
   ASSERT_EQ(Query()->unique_answers(), 2u);
-  EXPECT_EQ(nodes_[2]->replicas_stored(), 0u)
+  EXPECT_EQ(nodes_[2]->replicas().replicas_stored(), 0u)
       << "a crashed receiver must simply miss the push";
-  EXPECT_EQ(nodes_[2]->replica_manager()->replica_count(), 0u);
+  EXPECT_EQ(nodes_[2]->replicas().replica_manager()->replica_count(), 0u);
 
   // After the restart a re-promotion pushes again; this time node 2
   // stores the copies and its TTL lease cleans them up.
   ASSERT_EQ(Query()->unique_answers(), 2u);
-  EXPECT_EQ(nodes_[2]->replicas_stored(), 2u);
-  EXPECT_EQ(nodes_[2]->replicas_expired(), 2u);
-  EXPECT_EQ(nodes_[2]->replica_manager()->replica_count(), 0u);
+  EXPECT_EQ(nodes_[2]->replicas().replicas_stored(), 2u);
+  EXPECT_EQ(nodes_[2]->replicas().replicas_expired(), 2u);
+  EXPECT_EQ(nodes_[2]->replicas().replica_manager()->replica_count(), 0u);
   for (storm::ObjectId id : ids_[1]) {
     EXPECT_FALSE(nodes_[2]->storage()->Contains(id));
   }

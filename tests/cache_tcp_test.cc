@@ -96,8 +96,9 @@ TEST(CacheTcpTest, RepeatQueriesReplicateAndExpireOverRealSockets) {
   // Leaves crossed the hot threshold, so their answers were pushed to
   // the base; each lease then expires on the reactor's real-time clock.
   EXPECT_TRUE(wait_until([&]() {
-    return nodes[0]->replicas_stored() > 0 &&
-           nodes[0]->replicas_expired() == nodes[0]->replicas_stored();
+    const core::Replicas& replicas = nodes[0]->replicas();
+    return replicas.replicas_stored() > 0 &&
+           replicas.replicas_expired() == replicas.replicas_stored();
   })) << "replica leases never expired";
 
   uint64_t responder_hits = 0;
@@ -109,8 +110,8 @@ TEST(CacheTcpTest, RepeatQueriesReplicateAndExpireOverRealSockets) {
         responder_hits += rc->hits();
       }
     }
-    remote_hits = nodes[0]->cache_remote_hits();
-    replica_count = nodes[0]->replica_manager()->replica_count();
+    remote_hits = nodes[0]->cache_probe()->cache_remote_hits();
+    replica_count = nodes[0]->replicas().replica_manager()->replica_count();
   });
   tcpnet.Stop();
 

@@ -150,7 +150,7 @@ TEST_F(CoreNodeFixture, DeadlineFinalizesSessionWithPartialAnswers) {
   ASSERT_NE(session, nullptr);
   EXPECT_TRUE(session->finalized());
   EXPECT_EQ(session->total_answers(), 3u);  // The live peer's share.
-  EXPECT_EQ(nodes_[0]->sessions_finalized(), 1u);
+  EXPECT_EQ(nodes_[0]->sessions().sessions_finalized(), 1u);
 }
 
 TEST_F(CoreNodeFixture, ResultsAfterDeadlineAreDroppedAndCounted) {
@@ -164,7 +164,7 @@ TEST_F(CoreNodeFixture, ResultsAfterDeadlineAreDroppedAndCounted) {
   ASSERT_NE(session, nullptr);
   EXPECT_TRUE(session->finalized());
   EXPECT_EQ(session->total_answers(), 0u);
-  EXPECT_GE(nodes_[0]->late_results(), 1u);
+  EXPECT_GE(nodes_[0]->sessions().late_results(), 1u);
 }
 
 TEST_F(CoreNodeFixture, SilentPeersAreEvictedAtFailureThreshold) {
@@ -221,7 +221,7 @@ TEST_F(CoreNodeFixture, ReconfigureAdoptsAnswerers) {
   sim_.RunUntilIdle();
   ASSERT_TRUE(nodes_[0]->Reconfigure(qid).ok());
   sim_.RunUntilIdle();
-  auto peers = nodes_[0]->DirectPeerNodes();
+  auto peers = nodes_[0]->peers().Nodes();
   // Top answerers are 2 (6 answers) and 3 (2 answers); node 1 answered 0.
   EXPECT_EQ(peers, (std::vector<NodeId>{ids_[2], ids_[3]}));
   EXPECT_EQ(nodes_[0]->reconfigurations(), 1u);
@@ -242,7 +242,7 @@ TEST_F(CoreNodeFixture, StaticStrategyNeverChangesPeers) {
   sim_.RunUntilIdle();
   ASSERT_TRUE(nodes_[0]->Reconfigure(qid).ok());
   sim_.RunUntilIdle();
-  EXPECT_EQ(nodes_[0]->DirectPeerNodes(), (std::vector<NodeId>{ids_[1]}));
+  EXPECT_EQ(nodes_[0]->peers().Nodes(), (std::vector<NodeId>{ids_[1]}));
   EXPECT_EQ(nodes_[0]->reconfigurations(), 0u);
 }
 
@@ -312,14 +312,14 @@ TEST_F(CoreNodeFixture, WatchPeerDeliversStoreChangeNotifications) {
     storm::ObjectId id;
   };
   std::vector<Seen> events;
-  nodes_[0]->WatchPeer(
+  nodes_[0]->watch().WatchPeer(
       ids_[1], [&](NodeId provider, UpdateNotifyMessage::Kind kind,
                    storm::ObjectId id) {
         EXPECT_EQ(provider, ids_[1]);
         events.push_back({kind, id});
       });
   sim_.RunUntilIdle();
-  EXPECT_EQ(nodes_[1]->watcher_count(), 1u);
+  EXPECT_EQ(nodes_[1]->watch().watcher_count(), 1u);
 
   nodes_[1]->ShareObject(100, ToBytes("v1 content")).ok();
   nodes_[1]->UpdateObject(100, ToBytes("v2 content")).ok();
@@ -336,16 +336,16 @@ TEST_F(CoreNodeFixture, WatchPeerDeliversStoreChangeNotifications) {
 TEST_F(CoreNodeFixture, UnwatchStopsNotifications) {
   Build(2, {{0, 1}});
   int events = 0;
-  nodes_[0]->WatchPeer(ids_[1],
+  nodes_[0]->watch().WatchPeer(ids_[1],
                        [&](NodeId, UpdateNotifyMessage::Kind,
                            storm::ObjectId) { ++events; });
   sim_.RunUntilIdle();
   nodes_[1]->ShareObject(1, ToBytes("a")).ok();
   sim_.RunUntilIdle();
   EXPECT_EQ(events, 1);
-  nodes_[0]->UnwatchPeer(ids_[1]);
+  nodes_[0]->watch().UnwatchPeer(ids_[1]);
   sim_.RunUntilIdle();
-  EXPECT_EQ(nodes_[1]->watcher_count(), 0u);
+  EXPECT_EQ(nodes_[1]->watch().watcher_count(), 0u);
   nodes_[1]->ShareObject(2, ToBytes("b")).ok();
   sim_.RunUntilIdle();
   EXPECT_EQ(events, 1) << "no notifications after unwatch";
@@ -453,26 +453,27 @@ TEST_F(CoreNodeFixture, ComputeAgentFiltersAtProvider) {
 TEST_F(CoreNodeFixture, ActiveObjectRendersPerAccessLevel) {
   Build(2, {{0, 1}});
   ASSERT_TRUE(nodes_[1]
-                  ->active_nodes()
+                  ->active_objects().active_nodes()
                   .Register("redact-secrets", RedactSecretsActiveNode)
                   .ok());
   ActiveObject report;
   report.AddDataElement(ToBytes("Public intro. "));
   report.AddActiveElement("redact-secrets",
                           ToBytes("Data: [SECRET]key=42[/SECRET] end."));
-  nodes_[1]->ShareActiveObject("report", report);
+  nodes_[1]->active_objects().ShareActiveObject("report", report);
 
   std::string public_view, owner_view;
-  nodes_[0]->RequestActiveObject(ids_[1], "report", AccessLevel::kPublic,
-                                 [&](Result<Bytes> r) {
-                                   ASSERT_TRUE(r.ok());
-                                   public_view = ToString(r.value());
-                                 });
-  nodes_[0]->RequestActiveObject(ids_[1], "report", AccessLevel::kOwner,
-                                 [&](Result<Bytes> r) {
-                                   ASSERT_TRUE(r.ok());
-                                   owner_view = ToString(r.value());
-                                 });
+  ActiveObjects& objects = nodes_[0]->active_objects();
+  objects.RequestActiveObject(ids_[1], "report", AccessLevel::kPublic,
+                              [&](Result<Bytes> r) {
+                                ASSERT_TRUE(r.ok());
+                                public_view = ToString(r.value());
+                              });
+  objects.RequestActiveObject(ids_[1], "report", AccessLevel::kOwner,
+                              [&](Result<Bytes> r) {
+                                ASSERT_TRUE(r.ok());
+                                owner_view = ToString(r.value());
+                              });
   sim_.RunUntilIdle();
   EXPECT_EQ(public_view, "Public intro. Data: [REDACTED] end.");
   EXPECT_EQ(owner_view,
@@ -482,10 +483,9 @@ TEST_F(CoreNodeFixture, ActiveObjectRendersPerAccessLevel) {
 TEST_F(CoreNodeFixture, UnknownActiveObjectReportsError) {
   Build(2, {{0, 1}});
   Status status = Status::OK();
-  nodes_[0]->RequestActiveObject(ids_[1], "ghost", AccessLevel::kPublic,
-                                 [&](Result<Bytes> r) {
-                                   status = r.status();
-                                 });
+  nodes_[0]->active_objects().RequestActiveObject(
+      ids_[1], "ghost", AccessLevel::kPublic,
+      [&](Result<Bytes> r) { status = r.status(); });
   sim_.RunUntilIdle();
   EXPECT_TRUE(status.IsNotFound());
 }

@@ -91,10 +91,10 @@ class ReplicationFixture : public ::testing::Test {
 
 TEST_F(ReplicationFixture, PushStoresCopiesAtPeers) {
   Build(3, 1, 4);
-  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[1]->replicas().ReplicateObjects(owner_ids_).ok());
   sim_.RunUntilIdle();
-  EXPECT_EQ(nodes_[0]->replicas_stored(), 4u);
-  EXPECT_EQ(nodes_[2]->replicas_stored(), 4u);
+  EXPECT_EQ(nodes_[0]->replicas().replicas_stored(), 4u);
+  EXPECT_EQ(nodes_[2]->replicas().replicas_stored(), 4u);
   for (storm::ObjectId id : owner_ids_) {
     EXPECT_TRUE(nodes_[0]->storage()->Contains(id));
     EXPECT_TRUE(nodes_[2]->storage()->Contains(id));
@@ -103,23 +103,24 @@ TEST_F(ReplicationFixture, PushStoresCopiesAtPeers) {
 
 TEST_F(ReplicationFixture, RepushIsIdempotent) {
   Build(2, 1, 2);
-  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[1]->replicas().ReplicateObjects(owner_ids_).ok());
   sim_.RunUntilIdle();
-  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[1]->replicas().ReplicateObjects(owner_ids_).ok());
   sim_.RunUntilIdle();
-  EXPECT_EQ(nodes_[0]->replicas_stored(), 2u) << "duplicates must be kept once";
+  EXPECT_EQ(nodes_[0]->replicas().replicas_stored(), 2u)
+      << "duplicates must be kept once";
   EXPECT_EQ(nodes_[0]->storage()->object_count(), 2u);
 }
 
 TEST_F(ReplicationFixture, ReplicateUnknownObjectFails) {
   Build(2, 1, 1);
-  EXPECT_FALSE(nodes_[1]->ReplicateObjects({0xDEAD}).ok());
+  EXPECT_FALSE(nodes_[1]->replicas().ReplicateObjects({0xDEAD}).ok());
 }
 
 TEST_F(ReplicationFixture, QueriesDeduplicateReplicatedAnswers) {
   // Owner at the far end of a 4-line; replicate toward the base.
   Build(4, 3, 5);
-  ASSERT_TRUE(nodes_[3]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[3]->replicas().ReplicateObjects(owner_ids_).ok());
   sim_.RunUntilIdle();
   // Now nodes 2 and 3 both hold the objects. A query sees 10 raw answers
   // but 5 unique ones.
@@ -141,11 +142,11 @@ TEST_F(ReplicationFixture, ReplicasAnswerCloserAndFaster) {
       nodes_[0]->FindSession(q1)->responses().front().time -
       nodes_[0]->FindSession(q1)->start_time();
 
-  ASSERT_TRUE(nodes_[5]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[5]->replicas().ReplicateObjects(owner_ids_).ok());
   sim_.RunUntilIdle();
   // Node 4 now also holds the answers; a second replication round from
   // node 4 pushes them to node 3.
-  ASSERT_TRUE(nodes_[4]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[4]->replicas().ReplicateObjects(owner_ids_).ok());
   sim_.RunUntilIdle();
 
   uint64_t q2 = nodes_[0]->IssueSearch("needle").value();
@@ -162,15 +163,15 @@ TEST_F(ReplicationFixture, ReplicasAnswerCloserAndFaster) {
 TEST_F(ReplicationFixture, LeasingReceiverKeepsCopiesPastTtlAndPusherLoss) {
   BuildPair(LeasingConfig());
   BestPeerNode& receiver = *nodes_[0];
-  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_TRUE(nodes_[1]->replicas().ReplicateObjects(owner_ids_).ok());
   ASSERT_TRUE(receiver.IssueSearch("needle").ok());
   sim_.RunUntil(Seconds(1));  // Pushes land; no lease has run out yet.
-  ASSERT_GE(nodes_[1]->replica_pushes(), 1u);
-  EXPECT_EQ(receiver.replicas_stored(), 4u);
-  EXPECT_EQ(receiver.replica_manager()->replica_count(), 2u)
+  ASSERT_GE(nodes_[1]->replicas().replica_pushes(), 1u);
+  EXPECT_EQ(receiver.replicas().replicas_stored(), 4u);
+  EXPECT_EQ(receiver.replicas().replica_manager()->replica_count(), 2u)
       << "only the hot push is leased";
   for (storm::ObjectId id : hot_ids_) {
-    EXPECT_TRUE(receiver.replica_manager()->Tracks(id));
+    EXPECT_TRUE(receiver.replicas().replica_manager()->Tracks(id));
   }
 
   // The pusher goes away: its leased copies are revoked, the §6 copies
@@ -179,8 +180,8 @@ TEST_F(ReplicationFixture, LeasingReceiverKeepsCopiesPastTtlAndPusherLoss) {
                  Bytes{});
   sim_.RunUntilIdle();
   EXPECT_GE(sim_.now(), LeasingConfig().replica_ttl);
-  EXPECT_EQ(receiver.leases_revoked(), 2u);
-  EXPECT_EQ(receiver.replicas_expired(), 0u);
+  EXPECT_EQ(receiver.replicas().leases_revoked(), 2u);
+  EXPECT_EQ(receiver.replicas().replicas_expired(), 0u);
   for (storm::ObjectId id : hot_ids_) {
     EXPECT_FALSE(receiver.storage()->Contains(id));
   }
@@ -197,12 +198,12 @@ TEST_F(ReplicationFixture, ReceiverWithoutManagerKeepsOnlyLeaselessCopies) {
   receiver_config.enable_result_cache = true;
   BuildPair(receiver_config);
   BestPeerNode& receiver = *nodes_[0];
-  ASSERT_EQ(receiver.replica_manager(), nullptr);
-  ASSERT_TRUE(nodes_[1]->ReplicateObjects(owner_ids_).ok());
+  ASSERT_EQ(receiver.replicas().replica_manager(), nullptr);
+  ASSERT_TRUE(nodes_[1]->replicas().ReplicateObjects(owner_ids_).ok());
   ASSERT_TRUE(receiver.IssueSearch("needle").ok());
   sim_.RunUntilIdle();
-  ASSERT_GE(nodes_[1]->replica_pushes(), 1u);
-  EXPECT_EQ(receiver.replicas_stored(), 2u);
+  ASSERT_GE(nodes_[1]->replicas().replica_pushes(), 1u);
+  EXPECT_EQ(receiver.replicas().replicas_stored(), 2u);
   for (storm::ObjectId id : owner_ids_) {
     EXPECT_TRUE(receiver.storage()->Contains(id));
   }

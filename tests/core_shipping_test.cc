@@ -135,16 +135,17 @@ class ShippingFixture : public ::testing::Test {
 TEST_F(ShippingFixture, AlwaysDataPullsStoresAndFindsMatches) {
   Build({0, 5, 8});
   uint64_t qid = nodes_[0]
-                     ->IssueDirectSearch("needle", ShippingMode::kAlwaysData)
-                     .value();
+                    ->shipping()
+                    .IssueDirectSearch("needle", ShippingMode::kAlwaysData)
+                    .value();
   sim_.RunUntilIdle();
   const QuerySession* session = nodes_[0]->FindSession(qid);
   ASSERT_NE(session, nullptr);
   EXPECT_EQ(session->total_indicated(), 2u);  // One match per peer store.
   EXPECT_EQ(session->responder_count(), 2u);
   // Hints learned from the shipped stores.
-  EXPECT_EQ(nodes_[0]->StoreSizeHint(nodes_[1]->node()), 5u);
-  EXPECT_EQ(nodes_[0]->StoreSizeHint(nodes_[2]->node()), 8u);
+  EXPECT_EQ(nodes_[0]->shipping().StoreSizeHint(nodes_[1]->node()), 5u);
+  EXPECT_EQ(nodes_[0]->shipping().StoreSizeHint(nodes_[2]->node()), 8u);
 }
 
 TEST_F(ShippingFixture, DataAndCodeShippingSpeakTheSameQueryLanguage) {
@@ -155,7 +156,8 @@ TEST_F(ShippingFixture, DataAndCodeShippingSpeakTheSameQueryLanguage) {
        {"needle", "text needle", "needle OR zzz", "NEEDLE"}) {
     for (ShippingMode mode :
          {ShippingMode::kAlwaysData, ShippingMode::kAlwaysCode}) {
-      uint64_t qid = nodes_[0]->IssueDirectSearch(query, mode).value();
+      uint64_t qid =
+          nodes_[0]->shipping().IssueDirectSearch(query, mode).value();
       sim_.RunUntilIdle();
       EXPECT_EQ(nodes_[0]->FindSession(qid)->total_indicated(), 2u)
           << '"' << query << "\" by " << ShippingModeName(mode);
@@ -166,22 +168,24 @@ TEST_F(ShippingFixture, DataAndCodeShippingSpeakTheSameQueryLanguage) {
 TEST_F(ShippingFixture, AlwaysCodeUsesAgents) {
   Build({0, 5, 8});
   uint64_t qid = nodes_[0]
-                     ->IssueDirectSearch("needle", ShippingMode::kAlwaysCode)
-                     .value();
+                    ->shipping()
+                    .IssueDirectSearch("needle", ShippingMode::kAlwaysCode)
+                    .value();
   sim_.RunUntilIdle();
   const QuerySession* session = nodes_[0]->FindSession(qid);
   EXPECT_EQ(session->total_indicated(), 2u);
   EXPECT_EQ(nodes_[1]->agent_runtime().agents_executed(), 1u);
   EXPECT_EQ(nodes_[2]->agent_runtime().agents_executed(), 1u);
   // Hints learned from result metadata too.
-  EXPECT_EQ(nodes_[0]->StoreSizeHint(nodes_[1]->node()), 5u);
+  EXPECT_EQ(nodes_[0]->shipping().StoreSizeHint(nodes_[1]->node()), 5u);
 }
 
 TEST_F(ShippingFixture, AdaptiveDefaultsToCodeThenLearns) {
   Build({0, 3, 400});
   // Round 1: no hints — both peers interrogated by agent.
   uint64_t q1 = nodes_[0]
-                    ->IssueDirectSearch("needle", ShippingMode::kAdaptive)
+                    ->shipping()
+                    .IssueDirectSearch("needle", ShippingMode::kAdaptive)
                     .value();
   sim_.RunUntilIdle();
   EXPECT_EQ(nodes_[1]->agent_runtime().agents_executed(), 1u);
@@ -191,7 +195,8 @@ TEST_F(ShippingFixture, AdaptiveDefaultsToCodeThenLearns) {
   // Round 2: the 3-object store is now known to be tiny -> data shipped;
   // the 400-object store stays on code shipping.
   uint64_t q2 = nodes_[0]
-                    ->IssueDirectSearch("needle", ShippingMode::kAdaptive)
+                    ->shipping()
+                    .IssueDirectSearch("needle", ShippingMode::kAdaptive)
                     .value();
   sim_.RunUntilIdle();
   EXPECT_EQ(nodes_[1]->agent_runtime().agents_executed(), 1u)
@@ -209,12 +214,14 @@ TEST_F(ShippingFixture, DataShippingMovesMoreBytes) {
     infra_->code_cache.Load(node->node(), kSearchAgentClass);
   }
   uint64_t before = network_->total_wire_bytes();
-  nodes_[0]->IssueDirectSearch("needle", ShippingMode::kAlwaysData).value();
+  nodes_[0]->shipping().IssueDirectSearch("needle", ShippingMode::kAlwaysData)
+      .value();
   sim_.RunUntilIdle();
   uint64_t data_bytes = network_->total_wire_bytes() - before;
 
   before = network_->total_wire_bytes();
-  nodes_[0]->IssueDirectSearch("needle", ShippingMode::kAlwaysCode).value();
+  nodes_[0]->shipping().IssueDirectSearch("needle", ShippingMode::kAlwaysCode)
+      .value();
   sim_.RunUntilIdle();
   uint64_t code_bytes = network_->total_wire_bytes() - before;
   EXPECT_GT(data_bytes, code_bytes * 3)

@@ -14,6 +14,7 @@
 #include "core/search_agent.h"
 #include "net/sim_transport.h"
 #include "sim/simulator.h"
+#include "storm/content_summary.h"
 #include "storm/keyword_index.h"
 #include "storm/pager.h"
 #include "util/logging.h"
@@ -154,7 +155,7 @@ TEST_F(EdgeFixture, ShareBeforeInitStorageFails) {
   auto node = MakeNode();
   EXPECT_TRUE(node->ShareObject(1, Bytes{1}).IsFailedPrecondition());
   EXPECT_TRUE(node->UnshareObject(1).IsFailedPrecondition());
-  EXPECT_TRUE(node->ReplicateObjects({1}).IsFailedPrecondition());
+  EXPECT_TRUE(node->replicas().ReplicateObjects({1}).IsFailedPrecondition());
 }
 
 TEST_F(EdgeFixture, InvalidConfigRejectedAtCreate) {
@@ -186,28 +187,109 @@ TEST_F(EdgeFixture, ForeignResultsAreIgnored) {
   EXPECT_EQ(b->results_received(), 0u);
 }
 
+/// One valid encoding of every node message type that carries a payload.
+std::vector<std::pair<uint32_t, Bytes>> ValidNodeMessages() {
+  const std::vector<core::ResultItem> items = {{7, "obj-7", Bytes{1, 2, 3}},
+                                               {9, "obj-9", Bytes{}}};
+  core::SearchResultMessage result;
+  result.query_id = 0x100000001;
+  result.hops = 2;
+  result.mode = 2;
+  result.responder_object_count = 12;
+  result.items = items;
+  result.cache_epoch = 5;
+  core::FetchRequestMessage fetch;
+  fetch.query_id = 0x100000001;
+  fetch.ids = {7, 9};
+  core::FetchResponseMessage fetched;
+  fetched.query_id = 0x100000001;
+  fetched.items = items;
+  core::ActiveObjectRequest aor;
+  aor.request_id = 3;
+  aor.object_name = "report";
+  aor.access_level = 1;
+  core::ActiveObjectResponse aoresp;
+  aoresp.request_id = 3;
+  aoresp.ok = true;
+  aoresp.content = Bytes{4, 5};
+  core::CacheReplicaPushMessage push;
+  push.source_epoch = 4;
+  push.ttl = Millis(5);
+  push.items = items;
+  core::UpdateNotifyMessage notify;
+  notify.kind = core::UpdateNotifyMessage::Kind::kUpdated;
+  notify.object_id = 7;
+  storm::KeywordIndex index;
+  index.Add(7, "alpha beta");
+  return {
+      {core::kSearchResultType, result.Encode()},
+      {core::kFetchReqType, fetch.Encode()},
+      {core::kFetchRespType, fetched.Encode()},
+      {core::kActiveObjReqType, aor.Encode()},
+      {core::kActiveObjRespType, aoresp.Encode()},
+      {core::kDataShipReqType, core::DataShipRequest{0x100000001}.Encode()},
+      {core::kDataShipRespType, fetched.Encode()},
+      {core::kWatchReqType, core::WatchRequest{true}.Encode()},
+      {core::kUpdateNotifyType, notify.Encode()},
+      {core::kCacheReplicaPushType, push.Encode()},
+      {core::kPeerSummaryType, storm::ContentSummary::Build(index, 3).Encode()},
+  };
+}
+
 TEST_F(EdgeFixture, GarbagePayloadsDoNotCrashHandlers) {
+  core::BestPeerConfig config;
+  config.enable_content_summaries = true;
+  config.enable_result_cache = true;
   auto a = MakeNode();
-  auto b = MakeNode();
+  auto b = MakeNode(config);
   b->InitStorage({}).ok();
+  // Uncompressed junk stops at the codec.
   for (uint32_t type :
        {core::kSearchResultType, core::kFetchReqType, core::kFetchRespType,
         core::kActiveObjReqType, core::kActiveObjRespType,
         core::kDataShipReqType, core::kDataShipRespType,
         core::kCacheReplicaPushType, core::kWatchReqType,
-        core::kUpdateNotifyType, agent::kAgentTransferType}) {
+        core::kUpdateNotifyType, core::kPeerSummaryType,
+        agent::kAgentTransferType}) {
     network_->Send(a->node(), b->node(), type, Bytes{0xFF, 0x00, 0xAB});
   }
+  // Compressed mutations of valid encodings reach every typed decoder:
+  // each strict prefix, and each single-byte flip.
+  auto codec = MakeCodec("lzss").value();
+  size_t sent = 0;
+  for (const auto& [type, valid] : ValidNodeMessages()) {
+    std::vector<Bytes> mutants;
+    for (size_t n = 0; n < valid.size(); ++n) {
+      mutants.emplace_back(valid.begin(), valid.begin() + n);
+      mutants.push_back(valid);
+      mutants.back()[n] ^= 0xFF;
+    }
+    for (const Bytes& payload : mutants) {
+      network_->Send(a->node(), b->node(), type,
+                     codec->Compress(payload).value());
+      ++sent;
+    }
+  }
+  // A count that promises more elements than the payload can hold.
+  for (uint32_t type : {core::kFetchReqType, core::kFetchRespType}) {
+    BinaryWriter w;
+    w.WriteU64(0x100000001);
+    w.WriteVarint(uint64_t{1} << 62);
+    network_->Send(a->node(), b->node(), type,
+                   codec->Compress(w.Take()).value());
+  }
   sim_.RunUntilIdle();  // Must not crash; malformed input is dropped.
+  EXPECT_GT(sent, 200u);
   EXPECT_EQ(b->results_received(), 0u);
+  EXPECT_EQ(b->sessions().inflight(), 0u) << "no hostile input opens a query";
 }
 
 TEST_F(EdgeFixture, IssueDirectSearchWithNoPeers) {
   auto loner = MakeNode();
   loner->InitStorage({}).ok();
-  uint64_t qid =
-      loner->IssueDirectSearch("needle", core::ShippingMode::kAdaptive)
-          .value();
+  uint64_t qid = loner->shipping()
+                     .IssueDirectSearch("needle", core::ShippingMode::kAdaptive)
+                     .value();
   sim_.RunUntilIdle();
   EXPECT_EQ(loner->FindSession(qid)->total_indicated(), 0u);
 }

@@ -412,13 +412,17 @@ class GossipNodeFixture : public ::testing::Test {
 
   uint64_t TotalStaleProbes() const {
     uint64_t total = 0;
-    for (const auto& node : nodes_) total += node->cache_stale_probes();
+    for (const auto& node : nodes_) {
+      total += node->cache_probe()->cache_stale_probes();
+    }
     return total;
   }
 
   uint64_t TotalGossipInvalidations() const {
     uint64_t total = 0;
-    for (const auto& node : nodes_) total += node->gossip_invalidations();
+    for (const auto& node : nodes_) {
+      total += node->cache_probe()->gossip_invalidations();
+    }
     return total;
   }
 

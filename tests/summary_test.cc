@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "core/node.h"
+#include "liglo/liglo_server.h"
+#include "net/dispatcher.h"
 #include "net/sim_transport.h"
 #include "sim/simulator.h"
 #include "storm/content_summary.h"
@@ -209,14 +211,14 @@ TEST_F(SummaryFixture, BaseSkipsProvablyEmptyPeersWithoutLosingAnswers) {
   ASSERT_TRUE(cold2->ShareObject(3, Content("other filler")).ok());
   sim_.RunUntilIdle();  // Drain the debounced summary broadcasts.
 
-  EXPECT_EQ(base->peer_summary_count(), 3u);
+  EXPECT_EQ(base->summaries()->peer_summary_count(), 3u);
   uint64_t qid = base->IssueSearch("needle").value();
   sim_.RunUntilIdle();
 
   const core::QuerySession* session = base->FindSession(qid);
   ASSERT_NE(session, nullptr);
   EXPECT_EQ(session->total_answers(), 1u) << "recall must be preserved";
-  EXPECT_EQ(base->summary_skips(), 2u);
+  EXPECT_EQ(base->summaries()->summary_skips(), 2u);
   EXPECT_EQ(hot->agent_runtime().agents_executed(), 1u);
   EXPECT_EQ(cold1->agent_runtime().agents_executed(), 0u)
       << "summary-excluded peer must not be visited";
@@ -266,7 +268,7 @@ TEST_F(SummaryFixture, SummariesRefreshAfterMutation) {
   uint64_t q1 = base->IssueSearch("needle").value();
   sim_.RunUntilIdle();
   EXPECT_EQ(base->FindSession(q1)->total_answers(), 0u);
-  EXPECT_EQ(base->summary_skips(), 1u);
+  EXPECT_EQ(base->summaries()->summary_skips(), 1u);
   EXPECT_EQ(peer->agent_runtime().agents_executed(), 0u);
 
   // The peer's store changes; its refreshed summary must reach the base
@@ -277,7 +279,8 @@ TEST_F(SummaryFixture, SummariesRefreshAfterMutation) {
   uint64_t q2 = base->IssueSearch("needle").value();
   sim_.RunUntilIdle();
   EXPECT_EQ(base->FindSession(q2)->total_answers(), 1u);
-  EXPECT_EQ(base->summary_skips(), 1u) << "no new skip after refresh";
+  EXPECT_EQ(base->summaries()->summary_skips(), 1u)
+      << "no new skip after refresh";
   EXPECT_EQ(peer->agent_runtime().agents_executed(), 1u);
 }
 
@@ -287,7 +290,7 @@ TEST_F(SummaryFixture, DisconnectDropsPeerSummary) {
   Wire(base.get(), {peer.get()});
   ASSERT_TRUE(peer->ShareObject(1, Content("something")).ok());
   sim_.RunUntilIdle();
-  ASSERT_EQ(base->peer_summary_count(), 1u);
+  ASSERT_EQ(base->summaries()->peer_summary_count(), 1u);
 
   // A disconnect notice (as sent by departing or evicting peers) must
   // drop the stored summary so a stale digest never suppresses visits.
@@ -295,7 +298,38 @@ TEST_F(SummaryFixture, DisconnectDropsPeerSummary) {
   network_->Send(peer->node(), base->node(), core::kPeerDisconnectType,
                  codec->Compress(Bytes{}).value());
   sim_.RunUntilIdle();
-  EXPECT_EQ(base->peer_summary_count(), 0u);
+  EXPECT_EQ(base->summaries()->peer_summary_count(), 0u);
+}
+
+TEST_F(SummaryFixture, RejoinDropOfOfflinePeerForgetsItsSummary) {
+  net::SimTransport* server_transport = fleet_->AddNode();
+  net::Dispatcher server_dispatcher(server_transport);
+  liglo::LigloServer server(server_transport, &server_dispatcher,
+                            &infra_->ip_directory, {});
+  auto a = MakeNode(true);
+  auto b = MakeNode(true);
+  ASSERT_TRUE(a->ShareObject(1, Content("filler only")).ok());
+  const liglo::IpAddress ip_a = infra_->ip_directory.AssignFresh(a->node());
+  const liglo::IpAddress ip_b = infra_->ip_directory.AssignFresh(b->node());
+  a->JoinNetwork(server_transport->local(), ip_a, nullptr);
+  sim_.RunUntilIdle();
+  b->JoinNetwork(server_transport->local(), ip_b, nullptr);  // A is starter.
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(b->peers().Contains(a->node()));
+  ASSERT_EQ(b->summaries()->peer_summary_count(), 1u);
+
+  // A reports itself offline; B's rejoin resolves A as offline and drops
+  // it, which must forget A's summary like every other drop does.
+  a->liglo_client().UpdateAddress(ip_a, false, nullptr);
+  sim_.RunUntilIdle();
+  b->RejoinNetwork(ip_b, nullptr);
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b->peers().size(), 0u);
+  EXPECT_EQ(b->summaries()->peer_summary_count(), 0u);
+  b->IssueSearch("needle").value();
+  sim_.RunUntilIdle();
+  EXPECT_EQ(b->summaries()->summary_skips(), 0u)
+      << "a dropped peer's stale summary must not count as a skip";
 }
 
 }  // namespace

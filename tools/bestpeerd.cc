@@ -123,40 +123,48 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-/// JSON for the /peers endpoint: every node's TelemetrySnapshot.
+/// JSON for the /peers endpoint: every node's peer health and replica
+/// state. Call on the transport's execution thread (it reads protocol
+/// state).
 std::string PeersJson(
     const std::vector<std::unique_ptr<core::BestPeerNode>>& nodes) {
   std::string out = "{\n";
   bool first_node = true;
   for (const auto& node : nodes) {
-    core::NodeTelemetry t = node->TelemetrySnapshot();
+    const cache::ReplicaManager* replicas =
+        node->replicas().replica_manager();
     if (!first_node) out += ",\n";
     first_node = false;
     out += "  \"" + JsonNumber(node->node()) + "\": {\"bpid\": " +
            JsonQuoted(node->bpid().ToString()) +
-           ", \"capacity\": " + JsonNumber(t.peer_capacity) +
-           ", \"sessions_inflight\": " + JsonNumber(t.sessions_inflight) +
-           ", \"peer_evictions\": " + JsonNumber(t.peer_evictions) +
-           ", \"reconfigurations\": " + JsonNumber(t.reconfigurations) +
-           ", \"replica_leases\": " + JsonNumber(t.replica_leases) +
+           ", \"capacity\": " + JsonNumber(node->peers().capacity()) +
+           ", \"sessions_inflight\": " +
+           JsonNumber(node->sessions().inflight()) +
+           ", \"peer_evictions\": " + JsonNumber(node->peer_evictions()) +
+           ", \"reconfigurations\": " +
+           JsonNumber(node->reconfigurations()) +
+           ", \"replica_leases\": " +
+           JsonNumber(replicas != nullptr ? replicas->replica_count() : 0) +
            ", \"replica_promotions\": " +
-           JsonNumber(t.replica_promotions) +
-           ", \"replica_pushes\": " + JsonNumber(t.replica_pushes) +
-           ", \"replicas_stored\": " + JsonNumber(t.replicas_stored) +
+           JsonNumber(replicas != nullptr ? replicas->promotions() : 0) +
+           ", \"replica_pushes\": " +
+           JsonNumber(node->replicas().replica_pushes()) +
+           ", \"replicas_stored\": " +
+           JsonNumber(node->replicas().replicas_stored()) +
            ",\n    \"peers\": [";
     bool first_peer = true;
-    for (const core::PeerTelemetry& p : t.peers) {
+    for (const core::PeerInfo& p : node->peers().Snapshot()) {
       out += first_peer ? "\n" : ",\n";
       first_peer = false;
-      out += "      {\"node\": " + JsonNumber(p.info.node) +
-             ", \"bpid\": " + JsonQuoted(p.info.bpid.ToString()) +
-             ", \"total_answers\": " + JsonNumber(p.info.total_answers) +
-             ", \"last_answers\": " + JsonNumber(p.info.last_answers) +
-             ", \"last_hops\": " + JsonNumber(p.info.last_hops) +
+      out += "      {\"node\": " + JsonNumber(p.node) +
+             ", \"bpid\": " + JsonQuoted(p.bpid.ToString()) +
+             ", \"total_answers\": " + JsonNumber(p.total_answers) +
+             ", \"last_answers\": " + JsonNumber(p.last_answers) +
+             ", \"last_hops\": " + JsonNumber(p.last_hops) +
              ", \"consecutive_failures\": " +
-             JsonNumber(p.info.consecutive_failures) +
-             ", \"store_size_hint\": " + JsonNumber(p.store_size_hint) +
-             "}";
+             JsonNumber(p.consecutive_failures) +
+             ", \"store_size_hint\": " +
+             JsonNumber(node->shipping().StoreSizeHint(p.node)) + "}";
     }
     out += first_peer ? "]}" : "\n    ]}";
   }
@@ -194,7 +202,8 @@ std::string CacheJson(
            ", \"bytes_used\": " + JsonNumber(cache->bytes_used()) +
            ", \"entries\": " + JsonNumber(cache->entry_count()) +
            ", \"slices\": " + JsonNumber(cache->slice_count()) +
-           ", \"remote_hits\": " + JsonNumber(node->cache_remote_hits()) +
+           ", \"remote_hits\": " +
+           JsonNumber(node->cache_probe()->cache_remote_hits()) +
            "}";
   }
   out += "\n}\n";
@@ -278,7 +287,6 @@ obs::StatFrame BuildStatFrame(core::BestPeerNode* node, int64_t now_us) {
   frame.sent_at_us = now_us;
   const metrics::LabelSet labels = {
       {"node", std::to_string(node->node())}};
-  core::NodeTelemetry t = node->TelemetrySnapshot();
   auto gauge = [&](const char* name, double value) {
     metrics::SnapshotEntry e;
     e.name = name;
@@ -295,18 +303,23 @@ obs::StatFrame BuildStatFrame(core::BestPeerNode* node, int64_t now_us) {
     e.value = value;
     frame.snapshot.entries.push_back(std::move(e));
   };
-  gauge("bp.node.direct_peers", static_cast<double>(t.peers.size()));
+  gauge("bp.node.direct_peers", static_cast<double>(node->peers().size()));
   gauge("bp.node.sessions_inflight",
-        static_cast<double>(t.sessions_inflight));
-  gauge("bp.node.replica_leases", static_cast<double>(t.replica_leases));
+        static_cast<double>(node->sessions().inflight()));
+  const cache::ReplicaManager* replicas = node->replicas().replica_manager();
+  gauge("bp.node.replica_leases",
+        replicas != nullptr ? static_cast<double>(replicas->replica_count())
+                            : 0.0);
   counter("bp.node.results_received",
           static_cast<double>(node->results_received()));
-  counter("bp.node.peer_evictions", static_cast<double>(t.peer_evictions));
+  counter("bp.node.peer_evictions",
+          static_cast<double>(node->peer_evictions()));
   counter("bp.node.reconfigurations",
-          static_cast<double>(t.reconfigurations));
-  counter("bp.node.replica_pushes", static_cast<double>(t.replica_pushes));
+          static_cast<double>(node->reconfigurations()));
+  counter("bp.node.replica_pushes",
+          static_cast<double>(node->replicas().replica_pushes()));
   counter("bp.node.replicas_stored",
-          static_cast<double>(t.replicas_stored));
+          static_cast<double>(node->replicas().replicas_stored()));
   if (cache::ResultCache* cache = node->result_cache()) {
     counter("bp.node.cache_hits", static_cast<double>(cache->hits()));
     counter("bp.node.cache_misses", static_cast<double>(cache->misses()));
