@@ -208,14 +208,8 @@ void BestPeerNode::JoinNetwork(NodeId liglo_server, liglo::IpAddress ip,
       [this, callback = std::move(callback)](
           Result<liglo::LigloClient::RegisterOutcome> outcome) {
         // Adopt the starter peers (paper §2: the registration response
-        // carries (BPID, IP) pairs of nodes we may talk to directly). The
-        // sample excludes the new member, but after a lost reply the
-        // retried registration lists this node's first membership too;
-        // the join path does not filter it (a known self-link, tracked
-        // in ROADMAP.md).
-        if (outcome.ok()) {
-          AdoptLigloPeers(outcome->peers, /*skip_self=*/false);
-        }
+        // carries (BPID, IP) pairs of nodes we may talk to directly).
+        if (outcome.ok()) AdoptLigloPeers(outcome->peers);
         if (callback) callback(std::move(outcome));
       });
 }
@@ -272,17 +266,18 @@ void BestPeerNode::ReplenishPeersIfIsolated(bool below_capacity) {
   liglo_->DiscoverPeers(
       [this](Result<std::vector<liglo::PeerEntry>> peers) {
         replenish_in_flight_ = false;
-        if (peers.ok()) AdoptLigloPeers(peers.value(), /*skip_self=*/true);
+        if (peers.ok()) AdoptLigloPeers(peers.value());
       });
 }
 
 void BestPeerNode::AdoptLigloPeers(
-    const std::vector<liglo::PeerEntry>& entries, bool skip_self) {
+    const std::vector<liglo::PeerEntry>& entries) {
   for (const auto& entry : entries) {
     if (peers_.size() >= config_.max_direct_peers) break;
     auto peer_node = infra_->ip_directory.Resolve(entry.ip);
-    if (!peer_node.ok()) continue;  // Stale address; skip.
-    if (skip_self && peer_node.value() == node_) continue;
+    // Skip stale addresses, and this node's own membership: after a lost
+    // register reply, the retried registration's sample lists the first.
+    if (!peer_node.ok() || peer_node.value() == node_) continue;
     PeerInfo info;
     info.node = peer_node.value();
     info.bpid = entry.bpid;

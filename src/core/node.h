@@ -229,10 +229,8 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   /// room (used after health evictions, which rarely empty the list).
   void ReplenishPeersIfIsolated(bool below_capacity = false);
   /// Adopts LIGLO peer entries as direct peers up to max_direct_peers,
-  /// skipping stale addresses and, with `skip_self`, entries that resolve
-  /// to this node.
-  void AdoptLigloPeers(const std::vector<liglo::PeerEntry>& entries,
-                       bool skip_self);
+  /// skipping stale addresses and entries that resolve to this node.
+  void AdoptLigloPeers(const std::vector<liglo::PeerEntry>& entries);
 
   net::Transport* transport_;
   NodeId node_;

@@ -305,6 +305,38 @@ TEST_F(CoreNodeFixture, JoinViaLigloAdoptsPeers) {
   EXPECT_EQ(server.member_count(), 3u);
 }
 
+TEST_F(CoreNodeFixture, RetriedLigloRegistrationNeverAdoptsSelf) {
+  network_ = std::make_unique<sim::SimNetwork>(&sim_, sim::NetworkOptions{});
+  fleet_ = std::make_unique<net::SimTransportFleet>(network_.get());
+  infra_ = std::make_unique<SharedInfra>();
+  net::SimTransport* server_transport = fleet_->AddNode();
+  net::Dispatcher server_dispatcher(server_transport);
+  liglo::LigloServer server(server_transport, &server_dispatcher,
+                            &infra_->ip_directory, {});
+  BestPeerConfig config;
+  config.liglo_max_retries = 2;
+  auto node =
+      BestPeerNode::Create(fleet_->AddNode(), infra_.get(), config).value();
+  Result<liglo::LigloClient::RegisterOutcome> outcome =
+      Status::Internal("unset");
+  node->JoinNetwork(server_transport->local(),
+                    infra_->ip_directory.AssignFresh(node->node()),
+                    [&outcome](auto r) { outcome = std::move(r); });
+  // The server registers the node, but its reply is lost while the node
+  // is briefly offline, so the client's retry registers it again — and
+  // the second reply's sample lists the first membership.
+  while (server.member_count() < 1 && sim_.Step()) {
+  }
+  network_->SetOnline(node->node(), false);
+  sim_.ScheduleAfter(Millis(500),
+                     [&]() { network_->SetOnline(node->node(), true); });
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(node->liglo_client().retries(), 1u);
+  EXPECT_EQ(server.member_count(), 2u);
+  EXPECT_EQ(node->peers().size(), 0u) << "a node is never its own peer";
+}
+
 TEST_F(CoreNodeFixture, WatchPeerDeliversStoreChangeNotifications) {
   Build(2, {{0, 1}});
   struct Seen {
