@@ -5,9 +5,8 @@
 #include <string>
 #include <vector>
 
-#include "util/ids.h"
-#include "storm/content_summary.h"
 #include "storm/object_store.h"
+#include "util/ids.h"
 #include "util/bytes.h"
 #include "util/result.h"
 

@@ -90,7 +90,8 @@ Status BestPeerNode::Init() {
   io_->HandleRaw(kPeerDisconnectType, "peer.disconnect",
                  [this](const net::Message& m) { OnPeerDisconnect(m.src); });
 
-  // The only reads of the feature flags: an off feature is never built.
+  // Feature flags are read only here and in the Replicas constructor: an
+  // off feature is never built.
   if (config_.enable_gossip) {
     gossip::GossipOptions go;
     go.fanout = config_.gossip_fanout;

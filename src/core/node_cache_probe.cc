@@ -19,12 +19,6 @@ cache::ResultCacheOptions CacheOptions(net::Transport& transport,
   return rc;
 }
 
-/// The cache key of `keyword`: its normal form, or itself if unparsable.
-std::string CacheKey(const std::string& keyword) {
-  auto norm = storm::QueryExpr::NormalizeQuery(keyword);
-  return norm.ok() ? std::move(norm).value() : keyword;
-}
-
 }  // namespace
 
 CacheProbe::CacheProbe(NodeIo& io, metrics::Registry* metrics,
@@ -44,7 +38,8 @@ CacheProbe::CacheProbe(NodeIo& io, metrics::Registry* metrics,
 
 void CacheProbe::Arm(uint64_t query_id, const std::string& keyword,
                      SearchAgent& agent) {
-  const std::string key = CacheKey(keyword);
+  auto norm = storm::QueryExpr::NormalizeQuery(keyword);
+  const std::string key = norm.ok() ? std::move(norm).value() : keyword;
   cache_.RecordAccess(key);
   std::map<uint32_t, uint64_t> known;
   std::map<NodeId, cache::CachedSlice> snapshot;
@@ -85,9 +80,9 @@ const cache::CachedSlice* CacheProbe::NotModified(
 void CacheProbe::OnFullReply(NodeId responder,
                              const SearchResultMessage& result,
                              const std::string& keyword) {
-  // Counting is observational only: gossiped epoch bumps eliminate these
-  // (the slice is invalidated before the query launches, so no probe is
-  // armed for it).
+  // A stale probe wasted its conditional round trip. Gossiped epoch bumps
+  // eliminate these (the slice is invalidated before the query launches,
+  // so no probe is armed for it); counting is observational only.
   const cache::CachedSlice* probed = Snapshot(result.query_id, responder);
   if (probed != nullptr && probed->epoch != result.cache_epoch) {
     stale_probes_.Increment();
