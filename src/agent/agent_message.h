@@ -7,6 +7,7 @@
 #include "util/ids.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::agent {
 
@@ -28,11 +29,17 @@ struct AgentMessage {
   /// Serialized agent state (Agent::SaveState output).
   Bytes state;
 
+  static Status Wire(auto& m, auto& io) {
+    return io(m.agent_id, m.class_name, m.origin, m.ttl, m.hops, m.state);
+  }
+
   /// Encodes to bytes (before transport compression).
-  Bytes Encode() const;
+  Bytes Encode() const { return wire::Encode(*this); }
 
   /// Decodes a buffer produced by Encode.
-  static Result<AgentMessage> Decode(const Bytes& data);
+  static Result<AgentMessage> Decode(const Bytes& data) {
+    return wire::Decode<AgentMessage>(data);
+  }
 };
 
 }  // namespace bestpeer::agent

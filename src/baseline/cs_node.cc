@@ -5,6 +5,7 @@
 
 #include "net/cost_model.h"
 #include "util/logging.h"
+#include "util/wire.h"
 
 namespace bestpeer::baseline {
 
@@ -16,19 +17,7 @@ struct QueryMessage {
   uint64_t query_id = 0;
   std::string keyword;
 
-  Bytes Encode() const {
-    BinaryWriter w;
-    w.WriteU64(query_id);
-    w.WriteString(keyword);
-    return w.Take();
-  }
-  static Result<QueryMessage> Decode(const Bytes& data) {
-    BinaryReader r(data);
-    QueryMessage m;
-    BP_ASSIGN_OR_RETURN(m.query_id, r.ReadU64());
-    BP_ASSIGN_OR_RETURN(m.keyword, r.ReadString());
-    return m;
-  }
+  static Status Wire(auto& m, auto& io) { return io(m.query_id, m.keyword); }
 };
 
 struct AnswerMessage {
@@ -36,50 +25,15 @@ struct AnswerMessage {
   NodeId origin = kInvalidNode;
   std::vector<core::ResultItem> items;
 
-  Bytes Encode() const {
-    BinaryWriter w;
-    w.WriteU64(query_id);
-    w.WriteU32(origin);
-    w.WriteVarint(items.size());
-    for (const auto& item : items) {
-      w.WriteU64(item.id);
-      w.WriteString(item.name);
-      w.WriteBytes(item.content);
-    }
-    return w.Take();
-  }
-  static Result<AnswerMessage> Decode(const Bytes& data) {
-    BinaryReader r(data);
-    AnswerMessage m;
-    BP_ASSIGN_OR_RETURN(m.query_id, r.ReadU64());
-    BP_ASSIGN_OR_RETURN(m.origin, r.ReadU32());
-    BP_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarint());
-    m.items.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      core::ResultItem item;
-      BP_ASSIGN_OR_RETURN(item.id, r.ReadU64());
-      BP_ASSIGN_OR_RETURN(item.name, r.ReadString());
-      BP_ASSIGN_OR_RETURN(item.content, r.ReadBytes());
-      m.items.push_back(std::move(item));
-    }
-    return m;
+  static Status Wire(auto& m, auto& io) {
+    return io(m.query_id, m.origin, m.items);
   }
 };
 
 struct DoneMessage {
   uint64_t query_id = 0;
 
-  Bytes Encode() const {
-    BinaryWriter w;
-    w.WriteU64(query_id);
-    return w.Take();
-  }
-  static Result<DoneMessage> Decode(const Bytes& data) {
-    BinaryReader r(data);
-    DoneMessage m;
-    BP_ASSIGN_OR_RETURN(m.query_id, r.ReadU64());
-    return m;
-  }
+  static Status Wire(auto& m, auto& io) { return io(m.query_id); }
 };
 
 }  // namespace
@@ -182,7 +136,7 @@ void CsNode::AdvanceForwarding(uint64_t query_id) {
   QueryMessage query;
   query.query_id = query_id;
   query.keyword = state.keyword;
-  Bytes encoded = query.Encode();
+  Bytes encoded = wire::Encode(query);
 
   if (config_.single_thread) {
     // SCS: one outstanding child connection at a time.
@@ -202,14 +156,14 @@ void CsNode::AdvanceForwarding(uint64_t query_id) {
 void CsNode::OnQuery(const net::Message& msg) {
   auto payload = codec_->Decompress(msg.payload);
   if (!payload.ok()) return;
-  auto query = QueryMessage::Decode(payload.value());
+  auto query = wire::Decode<QueryMessage>(payload.value());
   if (!query.ok()) return;
 
   if (relays_.count(query->query_id) != 0) {
     // Already participating (cyclic overlay): unblock the sender at once.
     DoneMessage done;
     done.query_id = query->query_id;
-    SendCompressed(msg.src, kCsDoneType, done.Encode());
+    SendCompressed(msg.src, kCsDoneType, wire::Encode(done));
     return;
   }
 
@@ -284,7 +238,7 @@ void CsNode::StartLocalScan(uint64_t query_id) {
         answer.items.push_back(std::move(item));
       }
       // Answers go to the parent: back along the query path.
-      SendCompressed(relay.parent, kCsAnswerType, answer.Encode());
+      SendCompressed(relay.parent, kCsAnswerType, wire::Encode(answer));
     }
     relay.local_done = true;
     MaybeFinish(query_id);
@@ -294,7 +248,7 @@ void CsNode::StartLocalScan(uint64_t query_id) {
 void CsNode::OnAnswer(const net::Message& msg) {
   auto payload = codec_->Decompress(msg.payload);
   if (!payload.ok()) return;
-  auto answer = AnswerMessage::Decode(payload.value());
+  auto answer = wire::Decode<AnswerMessage>(payload.value());
   if (!answer.ok()) return;
 
   auto it = relays_.find(answer->query_id);
@@ -315,7 +269,7 @@ void CsNode::OnAnswer(const net::Message& msg) {
   // Intermediate: relay immediately toward the base (implementation 2).
   ++relayed_answers_;
   NodeId parent = state.parent;
-  Bytes reencoded = answer->Encode();
+  Bytes reencoded = wire::Encode(*answer);
   SimTime cost =
       net::kCsRelayCost +
       static_cast<SimTime>(static_cast<double>(reencoded.size()) *
@@ -329,7 +283,7 @@ void CsNode::OnAnswer(const net::Message& msg) {
 void CsNode::OnDone(const net::Message& msg) {
   auto payload = codec_->Decompress(msg.payload);
   if (!payload.ok()) return;
-  auto done = DoneMessage::Decode(payload.value());
+  auto done = wire::Decode<DoneMessage>(payload.value());
   if (!done.ok()) return;
 
   auto it = relays_.find(done->query_id);
@@ -358,7 +312,7 @@ void CsNode::MaybeFinish(uint64_t query_id) {
   }
   DoneMessage done;
   done.query_id = query_id;
-  SendCompressed(state.parent, kCsDoneType, done.Encode());
+  SendCompressed(state.parent, kCsDoneType, wire::Encode(done));
 }
 
 const CsSession* CsNode::FindSession(uint64_t query_id) const {

@@ -12,105 +12,16 @@ namespace bestpeer::baseline {
 
 // ---- wire formats -----------------------------------------------------
 
-Bytes GnutellaDescriptor::Encode() const {
-  BinaryWriter w;
-  w.WriteRaw(guid.data(), guid.size());
-  w.WriteU8(static_cast<uint8_t>(function));
-  w.WriteU8(ttl);
-  w.WriteU8(hops);
-  w.WriteBytes(payload);
-  return w.Take();
-}
-
-Result<GnutellaDescriptor> GnutellaDescriptor::Decode(const Bytes& data) {
-  BinaryReader r(data);
-  GnutellaDescriptor d;
-  BP_ASSIGN_OR_RETURN(Bytes guid, r.ReadRaw(16));
-  std::copy(guid.begin(), guid.end(), d.guid.begin());
-  BP_ASSIGN_OR_RETURN(uint8_t fn, r.ReadU8());
-  switch (fn) {
-    case 0x00:
-      d.function = GnutellaFunction::kPing;
-      break;
-    case 0x01:
-      d.function = GnutellaFunction::kPong;
-      break;
-    case 0x40:
-      d.function = GnutellaFunction::kPush;
-      break;
-    case 0x80:
-      d.function = GnutellaFunction::kQuery;
-      break;
-    case 0x81:
-      d.function = GnutellaFunction::kQueryHit;
-      break;
-    default:
-      return Status::Corruption("unknown gnutella function");
+Status GnutellaDescriptor::Check() const {
+  switch (function) {
+    case GnutellaFunction::kPing:
+    case GnutellaFunction::kPong:
+    case GnutellaFunction::kPush:
+    case GnutellaFunction::kQuery:
+    case GnutellaFunction::kQueryHit:
+      return Status::OK();
   }
-  BP_ASSIGN_OR_RETURN(d.ttl, r.ReadU8());
-  BP_ASSIGN_OR_RETURN(d.hops, r.ReadU8());
-  BP_ASSIGN_OR_RETURN(d.payload, r.ReadBytes());
-  return d;
-}
-
-Bytes GnutellaQuery::Encode() const {
-  BinaryWriter w;
-  w.WriteU16(min_speed);
-  w.WriteString(keywords);
-  return w.Take();
-}
-
-Result<GnutellaQuery> GnutellaQuery::Decode(const Bytes& data) {
-  BinaryReader r(data);
-  GnutellaQuery q;
-  BP_ASSIGN_OR_RETURN(q.min_speed, r.ReadU16());
-  BP_ASSIGN_OR_RETURN(q.keywords, r.ReadString());
-  return q;
-}
-
-Bytes GnutellaPush::Encode() const {
-  BinaryWriter w;
-  w.WriteU32(target_servent);
-  w.WriteU32(requester);
-  w.WriteU32(file_index);
-  return w.Take();
-}
-
-Result<GnutellaPush> GnutellaPush::Decode(const Bytes& data) {
-  BinaryReader r(data);
-  GnutellaPush p;
-  BP_ASSIGN_OR_RETURN(p.target_servent, r.ReadU32());
-  BP_ASSIGN_OR_RETURN(p.requester, r.ReadU32());
-  BP_ASSIGN_OR_RETURN(p.file_index, r.ReadU32());
-  return p;
-}
-
-Bytes GnutellaQueryHit::Encode() const {
-  BinaryWriter w;
-  w.WriteU32(responder);
-  w.WriteVarint(files.size());
-  for (const auto& f : files) {
-    w.WriteU32(f.index);
-    w.WriteU32(f.size);
-    w.WriteString(f.name);
-  }
-  return w.Take();
-}
-
-Result<GnutellaQueryHit> GnutellaQueryHit::Decode(const Bytes& data) {
-  BinaryReader r(data);
-  GnutellaQueryHit h;
-  BP_ASSIGN_OR_RETURN(h.responder, r.ReadU32());
-  BP_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarint());
-  h.files.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    FileEntry f;
-    BP_ASSIGN_OR_RETURN(f.index, r.ReadU32());
-    BP_ASSIGN_OR_RETURN(f.size, r.ReadU32());
-    BP_ASSIGN_OR_RETURN(f.name, r.ReadString());
-    h.files.push_back(std::move(f));
-  }
-  return h;
+  return Status::Corruption("unknown gnutella function");
 }
 
 // ---- sessions ----------------------------------------------------------
@@ -363,10 +274,8 @@ void GnutellaNode::HandlePing(const GnutellaDescriptor& desc,
   pong.function = GnutellaFunction::kPong;
   pong.ttl = static_cast<uint8_t>(desc.hops + 1);
   pong.hops = 0;
-  BinaryWriter w;
-  w.WriteU32(node_);
-  w.WriteU32(static_cast<uint32_t>(files_.size()));
-  pong.payload = w.Take();
+  pong.payload = wire::Encode(
+      GnutellaPong{node_, static_cast<uint32_t>(files_.size())});
   transport_->RunCpu(net::kGnutellaRouteCost, [this, from, pong]() {
     transport_->Send(from, kGnutellaDescriptorType, pong.Encode());
   });

@@ -15,6 +15,7 @@
 #include "util/bytes.h"
 #include "util/result.h"
 #include "util/sim_time.h"
+#include "util/wire.h"
 
 namespace bestpeer::baseline {
 
@@ -43,8 +44,18 @@ struct GnutellaDescriptor {
   uint8_t hops = 0;
   Bytes payload;
 
-  Bytes Encode() const;
-  static Result<GnutellaDescriptor> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.guid,
+              wire::Enum(m.function, GnutellaFunction::kPing,
+                         GnutellaFunction::kQueryHit),
+              m.ttl, m.hops, m.payload);
+  }
+  /// Rejects the function codes between the defined ones.
+  Status Check() const;
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<GnutellaDescriptor> Decode(const Bytes& data) {
+    return wire::Decode<GnutellaDescriptor>(data);
+  }
 };
 
 /// Query payload: minimum speed (unused) + search keywords.
@@ -52,8 +63,11 @@ struct GnutellaQuery {
   uint16_t min_speed = 0;
   std::string keywords;
 
-  Bytes Encode() const;
-  static Result<GnutellaQuery> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.min_speed, m.keywords); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<GnutellaQuery> Decode(const Bytes& data) {
+    return wire::Decode<GnutellaQuery>(data);
+  }
 };
 
 /// QueryHit payload: responder + matching file entries. Routed back to
@@ -66,11 +80,18 @@ struct GnutellaQueryHit {
     uint32_t index = 0;
     uint32_t size = 0;
     std::string name;
+
+    static Status Wire(auto& m, auto& io) {
+      return io(m.index, m.size, m.name);
+    }
   };
   std::vector<FileEntry> files;
 
-  Bytes Encode() const;
-  static Result<GnutellaQueryHit> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.responder, m.files); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<GnutellaQueryHit> Decode(const Bytes& data) {
+    return wire::Decode<GnutellaQueryHit>(data);
+  }
 };
 
 /// Push payload: asks a (possibly firewalled) responder to open the data
@@ -81,8 +102,22 @@ struct GnutellaPush {
   NodeId requester = kInvalidNode;
   uint32_t file_index = 0;
 
-  Bytes Encode() const;
-  static Result<GnutellaPush> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.target_servent, m.requester, m.file_index);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<GnutellaPush> Decode(const Bytes& data) {
+    return wire::Decode<GnutellaPush>(data);
+  }
+};
+
+/// Pong payload: the answering servant and how many files it shares.
+/// Pongs are counted where they end, never parsed.
+struct GnutellaPong {
+  NodeId servent = kInvalidNode;
+  uint32_t file_count = 0;
+
+  static Status Wire(auto& m, auto& io) { return io(m.servent, m.file_count); }
 };
 
 /// Out-of-band message a pushed servent sends straight to the requester

@@ -54,35 +54,6 @@ Result<Bytes> ActiveObject::Render(AccessLevel level,
   return out;
 }
 
-Bytes ActiveObject::Encode() const {
-  BinaryWriter w;
-  w.WriteVarint(elements_.size());
-  for (const Element& element : elements_) {
-    w.WriteU8(element.active ? 1 : 0);
-    w.WriteString(element.active_node);
-    w.WriteBytes(element.data);
-  }
-  return w.Take();
-}
-
-Result<ActiveObject> ActiveObject::Decode(const Bytes& data) {
-  BinaryReader r(data);
-  ActiveObject object;
-  BP_ASSIGN_OR_RETURN(uint64_t n, r.ReadVarint());
-  for (uint64_t i = 0; i < n; ++i) {
-    Element element;
-    BP_ASSIGN_OR_RETURN(uint8_t active, r.ReadU8());
-    element.active = active != 0;
-    BP_ASSIGN_OR_RETURN(element.active_node, r.ReadString());
-    BP_ASSIGN_OR_RETURN(element.data, r.ReadBytes());
-    object.elements_.push_back(std::move(element));
-  }
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes in active object");
-  }
-  return object;
-}
-
 Result<Bytes> RedactSecretsActiveNode(const Bytes& data, AccessLevel level) {
   if (level >= AccessLevel::kOwner) return data;
   static constexpr std::string_view kOpen = "[SECRET]";

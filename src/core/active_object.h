@@ -10,6 +10,7 @@
 
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::core {
 
@@ -52,6 +53,10 @@ class ActiveObject {
     Bytes data;
     /// Active element only: the registered active-node name.
     std::string active_node;
+
+    static Status Wire(auto& m, auto& io) {
+      return io(m.active, m.active_node, m.data);
+    }
   };
 
   ActiveObject() = default;
@@ -70,8 +75,11 @@ class ActiveObject {
   /// Serializes the object (element structure + data) so active objects
   /// can be persisted in StorM or shipped between owners. Active-node
   /// *names* travel; the executables themselves stay registered code.
-  Bytes Encode() const;
-  static Result<ActiveObject> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.elements_); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<ActiveObject> Decode(const Bytes& data) {
+    return wire::Decode<ActiveObject>(data);
+  }
 
   const std::vector<Element>& elements() const { return elements_; }
   size_t element_count() const { return elements_.size(); }

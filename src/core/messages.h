@@ -9,6 +9,7 @@
 #include "util/ids.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::storm {
 class Storm;
@@ -43,6 +44,10 @@ struct ResultItem {
   storm::ObjectId id = 0;
   std::string name;
   Bytes content;
+
+  static Status Wire(auto& m, auto& io) {
+    return io(m.id, m.name, m.content);
+  }
 };
 
 /// The shared object `id` of `store` as a result item with its content
@@ -71,8 +76,19 @@ struct SearchResultMessage {
 
   static constexpr uint8_t kCacheNotModified = 0x01;
 
-  Bytes Encode() const;
-  static Result<SearchResultMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    BP_RETURN_IF_ERROR(
+        io(m.query_id, m.hops, m.mode, m.responder_object_count, m.items));
+    // Trailing optional section: written only when the result cache is on
+    // (epoch is then always nonzero), so cache-off messages stay
+    // byte-identical to the pre-cache encoding.
+    if (!io.Optional(m.cache_epoch != 0)) return Status::OK();
+    return io(wire::Varint(m.cache_epoch), m.cache_flags);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<SearchResultMessage> Decode(const Bytes& data) {
+    return wire::Decode<SearchResultMessage>(data);
+  }
 };
 
 /// Replica push. A hot-answer push (result-cache subsystem) copies the
@@ -88,8 +104,13 @@ struct CacheReplicaPushMessage {
   int64_t ttl = 0;
   std::vector<ResultItem> items;
 
-  Bytes Encode() const;
-  static Result<CacheReplicaPushMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Varint(m.source_epoch), m.ttl, m.items);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<CacheReplicaPushMessage> Decode(const Bytes& data) {
+    return wire::Decode<CacheReplicaPushMessage>(data);
+  }
 };
 
 /// Data-shipping request (§6 future work): pull the peer's entire shared
@@ -97,8 +118,11 @@ struct CacheReplicaPushMessage {
 struct DataShipRequest {
   uint64_t query_id = 0;
 
-  Bytes Encode() const;
-  static Result<DataShipRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.query_id); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<DataShipRequest> Decode(const Bytes& data) {
+    return wire::Decode<DataShipRequest>(data);
+  }
 };
 
 /// Mode-2 follow-up: the initiator asks a responder for object contents.
@@ -106,8 +130,11 @@ struct FetchRequestMessage {
   uint64_t query_id = 0;
   std::vector<storm::ObjectId> ids;
 
-  Bytes Encode() const;
-  static Result<FetchRequestMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.query_id, m.ids); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<FetchRequestMessage> Decode(const Bytes& data) {
+    return wire::Decode<FetchRequestMessage>(data);
+  }
 };
 
 /// Contents served for a FetchRequestMessage.
@@ -115,8 +142,11 @@ struct FetchResponseMessage {
   uint64_t query_id = 0;
   std::vector<ResultItem> items;
 
-  Bytes Encode() const;
-  static Result<FetchResponseMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.query_id, m.items); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<FetchResponseMessage> Decode(const Bytes& data) {
+    return wire::Decode<FetchResponseMessage>(data);
+  }
 };
 
 /// The peer's store contents, shipped back for local processing: a fetch
@@ -129,8 +159,11 @@ using DataShipResponse = FetchResponseMessage;
 struct WatchRequest {
   bool subscribe = true;  // false = unsubscribe.
 
-  Bytes Encode() const;
-  static Result<WatchRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.subscribe); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<WatchRequest> Decode(const Bytes& data) {
+    return wire::Decode<WatchRequest>(data);
+  }
 };
 
 /// Pushed to watchers when a shared object is added/updated/removed.
@@ -139,8 +172,13 @@ struct UpdateNotifyMessage {
   Kind kind = Kind::kAdded;
   storm::ObjectId object_id = 0;
 
-  Bytes Encode() const;
-  static Result<UpdateNotifyMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Enum(m.kind, Kind::kAdded, Kind::kRemoved), m.object_id);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<UpdateNotifyMessage> Decode(const Bytes& data) {
+    return wire::Decode<UpdateNotifyMessage>(data);
+  }
 };
 
 /// Request to render a named active object at `level` access.
@@ -149,8 +187,13 @@ struct ActiveObjectRequest {
   std::string object_name;
   uint8_t access_level = 0;
 
-  Bytes Encode() const;
-  static Result<ActiveObjectRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.request_id, m.object_name, m.access_level);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<ActiveObjectRequest> Decode(const Bytes& data) {
+    return wire::Decode<ActiveObjectRequest>(data);
+  }
 };
 
 /// Rendered active-object content (or an error flag).
@@ -159,8 +202,13 @@ struct ActiveObjectResponse {
   bool ok = false;
   Bytes content;
 
-  Bytes Encode() const;
-  static Result<ActiveObjectResponse> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.request_id, m.ok, m.content);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<ActiveObjectResponse> Decode(const Bytes& data) {
+    return wire::Decode<ActiveObjectResponse>(data);
+  }
 };
 
 }  // namespace bestpeer::core

@@ -244,7 +244,7 @@ class BestPeerNode : public agent::AgentHost, public ComputeHost {
   std::unique_ptr<liglo::LigloClient> liglo_;
   std::unique_ptr<agent::AgentRuntime> runtime_;
   std::unique_ptr<storm::Storm> storage_;
-  std::unique_ptr<ReconfigStrategy> strategy_;
+  const ReconfigStrategy* strategy_ = nullptr;
   std::unique_ptr<gossip::GossipAgent> gossip_;
 
   std::unique_ptr<CacheProbe> cache_probe_;

@@ -33,8 +33,59 @@ std::vector<PeerObservation> BuildCandidates(
   return out;
 }
 
-std::vector<NodeId> TakeTop(std::vector<PeerObservation> candidates,
-                                 size_t capacity) {
+/// The registered strategies, each a candidate order for stable_sort.
+constexpr ReconfigStrategy kStrategies[] = {
+    // MaxCount: keep the k nodes that returned the most answers; a peer
+    // that answers a lot is assumed likely to satisfy future queries.
+    // Ties broken deterministically by node id.
+    {"maxcount",
+     [](const PeerObservation& a, const PeerObservation& b) {
+       if (a.answers != b.answers) return a.answers > b.answers;
+       return a.node < b.node;
+     }},
+    // MinHops: keep the k nodes with the *largest* Hops values ("keep
+    // nodes that are further away"). Nearby answerers remain reachable
+    // through not-too-distant paths, so pulling far answerers close
+    // minimizes total hops to reach all answers. Ties prefer more
+    // answers, then node id.
+    {"minhops",
+     [](const PeerObservation& a, const PeerObservation& b) {
+       if (a.hops != b.hops) return a.hops > b.hops;
+       if (a.answers != b.answers) return a.answers > b.answers;
+       return a.node < b.node;
+     }},
+    // FastestResponse: keep the k nodes whose first answers arrived
+    // earliest, a latency-oriented alternative to the paper's two
+    // strategies. Nodes that actually responded come first; silent
+    // current peers (first_response == 0, answers == 0) rank last. Ties
+    // prefer more answers, then node id.
+    {"fastest",
+     [](const PeerObservation& a, const PeerObservation& b) {
+       bool a_responded = a.answers > 0;
+       bool b_responded = b.answers > 0;
+       if (a_responded != b_responded) return a_responded;
+       if (a.first_response != b.first_response) {
+         return a.first_response < b.first_response;
+       }
+       if (a.answers != b.answers) return a.answers > b.answers;
+       return a.node < b.node;
+     }},
+    // No reconfiguration: always keep the current peers (BPS).
+    {"none", nullptr},
+};
+
+}  // namespace
+
+std::vector<NodeId> ReconfigStrategy::SelectPeers(
+    const std::vector<PeerObservation>& observations,
+    const std::vector<NodeId>& current_peers, size_t capacity) const {
+  if (better_ == nullptr) {
+    std::vector<NodeId> out = current_peers;
+    if (out.size() > capacity) out.resize(capacity);
+    return out;
+  }
+  auto candidates = BuildCandidates(observations, current_peers);
+  std::stable_sort(candidates.begin(), candidates.end(), better_);
   if (candidates.size() > capacity) candidates.resize(capacity);
   std::vector<NodeId> out;
   out.reserve(candidates.size());
@@ -43,78 +94,9 @@ std::vector<NodeId> TakeTop(std::vector<PeerObservation> candidates,
   return out;
 }
 
-}  // namespace
-
-std::vector<NodeId> MaxCountStrategy::SelectPeers(
-    const std::vector<PeerObservation>& observations,
-    const std::vector<NodeId>& current_peers, size_t capacity) const {
-  auto candidates = BuildCandidates(observations, current_peers);
-  // Most answers first; ties broken deterministically by node id.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const PeerObservation& a, const PeerObservation& b) {
-                     if (a.answers != b.answers) return a.answers > b.answers;
-                     return a.node < b.node;
-                   });
-  return TakeTop(std::move(candidates), capacity);
-}
-
-std::vector<NodeId> MinHopsStrategy::SelectPeers(
-    const std::vector<PeerObservation>& observations,
-    const std::vector<NodeId>& current_peers, size_t capacity) const {
-  auto candidates = BuildCandidates(observations, current_peers);
-  // Larger hops first ("keep nodes that are further away"); ties prefer
-  // more answers, then node id.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const PeerObservation& a, const PeerObservation& b) {
-                     if (a.hops != b.hops) return a.hops > b.hops;
-                     if (a.answers != b.answers) return a.answers > b.answers;
-                     return a.node < b.node;
-                   });
-  return TakeTop(std::move(candidates), capacity);
-}
-
-std::vector<NodeId> FastestResponseStrategy::SelectPeers(
-    const std::vector<PeerObservation>& observations,
-    const std::vector<NodeId>& current_peers, size_t capacity) const {
-  auto candidates = BuildCandidates(observations, current_peers);
-  // Nodes that actually responded come first, earliest first; silent
-  // current peers (first_response == 0, answers == 0) rank last.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [](const PeerObservation& a, const PeerObservation& b) {
-                     bool a_responded = a.answers > 0;
-                     bool b_responded = b.answers > 0;
-                     if (a_responded != b_responded) return a_responded;
-                     if (a.first_response != b.first_response) {
-                       return a.first_response < b.first_response;
-                     }
-                     if (a.answers != b.answers) return a.answers > b.answers;
-                     return a.node < b.node;
-                   });
-  return TakeTop(std::move(candidates), capacity);
-}
-
-std::vector<NodeId> NoReconfigStrategy::SelectPeers(
-    const std::vector<PeerObservation>& observations,
-    const std::vector<NodeId>& current_peers, size_t capacity) const {
-  (void)observations;
-  std::vector<NodeId> out = current_peers;
-  if (out.size() > capacity) out.resize(capacity);
-  return out;
-}
-
-Result<std::unique_ptr<ReconfigStrategy>> MakeReconfigStrategy(
-    std::string_view name) {
-  if (name == "maxcount") {
-    return std::unique_ptr<ReconfigStrategy>(new MaxCountStrategy);
-  }
-  if (name == "minhops") {
-    return std::unique_ptr<ReconfigStrategy>(new MinHopsStrategy);
-  }
-  if (name == "fastest") {
-    return std::unique_ptr<ReconfigStrategy>(new FastestResponseStrategy);
-  }
-  if (name == "none") {
-    return std::unique_ptr<ReconfigStrategy>(new NoReconfigStrategy);
+Result<const ReconfigStrategy*> MakeReconfigStrategy(std::string_view name) {
+  for (const ReconfigStrategy& strategy : kStrategies) {
+    if (strategy.name() == name) return &strategy;
   }
   return Status::InvalidArgument("unknown reconfiguration strategy: " +
                                  std::string(name));

@@ -2,7 +2,6 @@
 #define BESTPEER_CORE_RECONFIG_STRATEGY_H_
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -24,75 +23,37 @@ struct PeerObservation {
 };
 
 /// Self-reconfiguration policy (paper §3.3): after a query, choose which
-/// nodes to keep as direct peers. Implementations are pure functions of
-/// the observations and the current peer set, so strategies are trivially
-/// testable and nodes stay autonomous (no peer-to-peer negotiation).
+/// nodes to keep as direct peers. A strategy is a name plus an order over
+/// candidates, so it is a pure function of the observations and the
+/// current peer set; strategies are trivially testable and nodes stay
+/// autonomous (no peer-to-peer negotiation).
 class ReconfigStrategy {
  public:
-  virtual ~ReconfigStrategy() = default;
+  /// True iff `a` is a better direct peer than `b`.
+  using Better = bool (*)(const PeerObservation& a, const PeerObservation& b);
 
-  /// Registered name ("maxcount", "minhops", "fastest", "none").
-  virtual std::string_view name() const = 0;
+  /// A null `better` keeps the current peers (BPS).
+  constexpr ReconfigStrategy(std::string_view name, Better better)
+      : name_(name), better_(better) {}
+
+  std::string_view name() const { return name_; }
 
   /// Returns the new direct-peer set, at most `capacity` nodes, drawn
   /// from the observed responders and the current peers. Current peers
   /// that did not respond are treated as answers=0, hops=1 candidates.
-  virtual std::vector<NodeId> SelectPeers(
-      const std::vector<PeerObservation>& observations,
-      const std::vector<NodeId>& current_peers,
-      size_t capacity) const = 0;
-};
-
-/// MaxCount: keep the k nodes that returned the most answers; a peer that
-/// answers a lot is assumed likely to satisfy future queries.
-class MaxCountStrategy : public ReconfigStrategy {
- public:
-  std::string_view name() const override { return "maxcount"; }
   std::vector<NodeId> SelectPeers(
       const std::vector<PeerObservation>& observations,
-      const std::vector<NodeId>& current_peers,
-      size_t capacity) const override;
+      const std::vector<NodeId>& current_peers, size_t capacity) const;
+
+ private:
+  std::string_view name_;
+  Better better_;
 };
 
-/// MinHops: keep the k nodes with the *largest* Hops values (answers
-/// break ties). Nearby answerers remain reachable through not-too-distant
-/// paths, so pulling far answerers close minimizes total hops to reach
-/// all answers.
-class MinHopsStrategy : public ReconfigStrategy {
- public:
-  std::string_view name() const override { return "minhops"; }
-  std::vector<NodeId> SelectPeers(
-      const std::vector<PeerObservation>& observations,
-      const std::vector<NodeId>& current_peers,
-      size_t capacity) const override;
-};
-
-/// FastestResponse: keep the k nodes whose first answers arrived
-/// earliest (ties prefer more answers). A latency-oriented alternative
-/// to the paper's two strategies: it optimizes time-to-first-answer
-/// rather than answer volume or hop count.
-class FastestResponseStrategy : public ReconfigStrategy {
- public:
-  std::string_view name() const override { return "fastest"; }
-  std::vector<NodeId> SelectPeers(
-      const std::vector<PeerObservation>& observations,
-      const std::vector<NodeId>& current_peers,
-      size_t capacity) const override;
-};
-
-/// No reconfiguration: always keep the current peers (BPS).
-class NoReconfigStrategy : public ReconfigStrategy {
- public:
-  std::string_view name() const override { return "none"; }
-  std::vector<NodeId> SelectPeers(
-      const std::vector<PeerObservation>& observations,
-      const std::vector<NodeId>& current_peers,
-      size_t capacity) const override;
-};
-
-/// Creates a strategy by name; InvalidArgument for unknown names.
-Result<std::unique_ptr<ReconfigStrategy>> MakeReconfigStrategy(
-    std::string_view name);
+/// The strategy registered as `name` ("maxcount", "minhops", "fastest" or
+/// "none"); InvalidArgument for unknown names. Strategies are constants,
+/// so the pointer stays valid for the life of the program.
+Result<const ReconfigStrategy*> MakeReconfigStrategy(std::string_view name);
 
 }  // namespace bestpeer::core
 

@@ -2,91 +2,22 @@
 
 namespace bestpeer::gossip {
 
-namespace {
-
-Status Malformed(const std::string& what) {
-  return Status::InvalidArgument("gossip frame: " + what);
+Status GossipFrame::Check() const {
+  if ((flags & ~kFlagResponse) != 0) {
+    return Status::InvalidArgument("gossip frame: unknown flags");
+  }
+  if (items.size() > kGossipFrameMaxItems) {
+    return Status::InvalidArgument("gossip frame: item count over limit");
+  }
+  return Status::OK();
 }
 
-}  // namespace
-
 Bytes EncodeGossipFrame(const GossipFrame& frame) {
-  BinaryWriter w;
-  w.WriteU32(kGossipFrameMagic);
-  w.WriteU16(kGossipFrameVersion);
-  w.WriteU32(frame.sender);
-  w.WriteU64(frame.round);
-  w.WriteU8(frame.flags);
-  w.WriteVarint(frame.items.size());
-  for (const GossipItem& item : frame.items) {
-    w.WriteU8(static_cast<uint8_t>(item.kind));
-    w.WriteU32(item.origin);
-    w.WriteU64(item.subject);
-    w.WriteU32(item.holder);
-    w.WriteU64(item.version);
-    w.WriteU64(item.payload);
-  }
-  return w.Take();
+  return wire::Encode(frame);
 }
 
 Result<GossipFrame> DecodeGossipFrame(const Bytes& payload) {
-  BinaryReader r(payload);
-  auto magic = r.ReadU32();
-  if (!magic.ok()) return magic.status();
-  if (magic.value() != kGossipFrameMagic) return Malformed("bad magic");
-  auto version = r.ReadU16();
-  if (!version.ok()) return version.status();
-  if (version.value() != kGossipFrameVersion) {
-    return Malformed("unknown version");
-  }
-  GossipFrame frame;
-  auto sender = r.ReadU32();
-  if (!sender.ok()) return sender.status();
-  frame.sender = sender.value();
-  auto round = r.ReadU64();
-  if (!round.ok()) return round.status();
-  frame.round = round.value();
-  auto flags = r.ReadU8();
-  if (!flags.ok()) return flags.status();
-  if ((flags.value() & ~GossipFrame::kFlagResponse) != 0) {
-    return Malformed("unknown flags");
-  }
-  frame.flags = flags.value();
-
-  auto item_count = r.ReadVarint();
-  if (!item_count.ok()) return item_count.status();
-  if (item_count.value() > kGossipFrameMaxItems) {
-    return Malformed("item count over limit");
-  }
-  frame.items.reserve(item_count.value());
-  for (uint64_t i = 0; i < item_count.value(); ++i) {
-    GossipItem item;
-    auto kind = r.ReadU8();
-    if (!kind.ok()) return kind.status();
-    if (kind.value() < static_cast<uint8_t>(ItemKind::kIndexEpoch) ||
-        kind.value() > static_cast<uint8_t>(ItemKind::kLeaseExpire)) {
-      return Malformed("unknown item kind");
-    }
-    item.kind = static_cast<ItemKind>(kind.value());
-    auto origin = r.ReadU32();
-    if (!origin.ok()) return origin.status();
-    item.origin = origin.value();
-    auto subject = r.ReadU64();
-    if (!subject.ok()) return subject.status();
-    item.subject = subject.value();
-    auto holder = r.ReadU32();
-    if (!holder.ok()) return holder.status();
-    item.holder = holder.value();
-    auto item_version = r.ReadU64();
-    if (!item_version.ok()) return item_version.status();
-    item.version = item_version.value();
-    auto value = r.ReadU64();
-    if (!value.ok()) return value.status();
-    item.payload = value.value();
-    frame.items.push_back(item);
-  }
-  if (r.remaining() != 0) return Malformed("trailing bytes");
-  return frame;
+  return wire::Decode<GossipFrame>(payload);
 }
 
 }  // namespace bestpeer::gossip

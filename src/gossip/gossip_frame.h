@@ -7,6 +7,7 @@
 
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::gossip {
 
@@ -47,6 +48,11 @@ struct GossipItem {
   uint32_t holder = 0;   ///< Lease holder node; 0 for epochs.
   uint64_t version = 0;
   uint64_t payload = 0;
+
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Enum(m.kind, ItemKind::kIndexEpoch, ItemKind::kLeaseExpire),
+              m.origin, m.subject, m.holder, m.version, m.payload);
+  }
 };
 
 /// One push (or pull-back) of rumors between two gossip agents.
@@ -59,15 +65,24 @@ struct GossipFrame {
   uint64_t round = 0;
   uint8_t flags = 0;
   std::vector<GossipItem> items;
+
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Const<uint32_t>{kGossipFrameMagic},
+              wire::Const<uint16_t>{kGossipFrameVersion}, m.sender, m.round,
+              m.flags, m.items);
+  }
+  /// Unknown flag bits and over-limit item counts are corrupt.
+  Status Check() const;
 };
 
 /// Serializes a gossip frame (magic, version, sender, round, flags,
 /// items).
 Bytes EncodeGossipFrame(const GossipFrame& frame);
 
-/// Bounds-checked decode; any truncation, bad magic/version, unknown
-/// item kind or over-limit count returns InvalidArgument (never UB,
-/// never a huge allocation). Trailing bytes are rejected.
+/// Bounds-checked decode (util/wire.h); any truncation, bad
+/// magic/version, unknown flag bit or item kind, over-limit count or
+/// trailing byte returns an error Status (never UB, never a huge
+/// allocation).
 Result<GossipFrame> DecodeGossipFrame(const Bytes& payload);
 
 }  // namespace bestpeer::gossip

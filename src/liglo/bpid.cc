@@ -30,16 +30,4 @@ Result<Bpid> Bpid::Parse(std::string_view text) {
   return bpid;
 }
 
-void Bpid::EncodeTo(BinaryWriter& writer) const {
-  writer.WriteU32(liglo_id);
-  writer.WriteU32(node_id);
-}
-
-Result<Bpid> Bpid::DecodeFrom(BinaryReader& reader) {
-  Bpid bpid;
-  BP_ASSIGN_OR_RETURN(bpid.liglo_id, reader.ReadU32());
-  BP_ASSIGN_OR_RETURN(bpid.node_id, reader.ReadU32());
-  return bpid;
-}
-
 }  // namespace bestpeer::liglo

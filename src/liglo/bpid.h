@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "util/bytes.h"
 #include "util/result.h"
 
 namespace bestpeer::liglo {
@@ -37,8 +36,7 @@ struct Bpid {
   /// Parses the ToString format.
   static Result<Bpid> Parse(std::string_view text);
 
-  void EncodeTo(BinaryWriter& writer) const;
-  static Result<Bpid> DecodeFrom(BinaryReader& reader);
+  static Status Wire(auto& m, auto& io) { return io(m.liglo_id, m.node_id); }
 };
 
 }  // namespace bestpeer::liglo

@@ -7,6 +7,7 @@
 #include "liglo/bpid.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::liglo {
 
@@ -27,6 +28,8 @@ constexpr uint32_t kLigloPeersResp = 0x4C49000A;
 struct PeerEntry {
   Bpid bpid;
   IpAddress ip = kInvalidIp;
+
+  static Status Wire(auto& m, auto& io) { return io(m.bpid, m.ip); }
 };
 
 /// Registration request: a new node asks a LIGLO server for a BPID.
@@ -34,8 +37,11 @@ struct RegisterRequest {
   uint64_t request_id = 0;
   IpAddress ip = kInvalidIp;
 
-  Bytes Encode() const;
-  static Result<RegisterRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.request_id, m.ip); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<RegisterRequest> Decode(const Bytes& data) {
+    return wire::Decode<RegisterRequest>(data);
+  }
 };
 
 /// Registration response. `accepted` is false when the server is at
@@ -46,8 +52,13 @@ struct RegisterResponse {
   Bpid bpid;
   std::vector<PeerEntry> peers;
 
-  Bytes Encode() const;
-  static Result<RegisterResponse> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.request_id, m.accepted, m.bpid, m.peers);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<RegisterResponse> Decode(const Bytes& data) {
+    return wire::Decode<RegisterResponse>(data);
+  }
 };
 
 /// Address update: a member reports its current IP (and online state)
@@ -58,16 +69,24 @@ struct UpdateRequest {
   IpAddress ip = kInvalidIp;
   bool online = true;
 
-  Bytes Encode() const;
-  static Result<UpdateRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.request_id, m.bpid, m.ip, m.online);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<UpdateRequest> Decode(const Bytes& data) {
+    return wire::Decode<UpdateRequest>(data);
+  }
 };
 
 struct UpdateResponse {
   uint64_t request_id = 0;
   bool ok = false;
 
-  Bytes Encode() const;
-  static Result<UpdateResponse> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.request_id, m.ok); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<UpdateResponse> Decode(const Bytes& data) {
+    return wire::Decode<UpdateResponse>(data);
+  }
 };
 
 /// BPID resolution request, sent to the *peer's* home LIGLO.
@@ -75,8 +94,11 @@ struct ResolveRequest {
   uint64_t request_id = 0;
   Bpid bpid;
 
-  Bytes Encode() const;
-  static Result<ResolveRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.request_id, m.bpid); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<ResolveRequest> Decode(const Bytes& data) {
+    return wire::Decode<ResolveRequest>(data);
+  }
 };
 
 /// Liveness/address state of a resolved peer.
@@ -87,8 +109,15 @@ struct ResolveResponse {
   PeerState state = PeerState::kUnknown;
   IpAddress ip = kInvalidIp;
 
-  Bytes Encode() const;
-  static Result<ResolveResponse> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.request_id,
+              wire::Enum(m.state, PeerState::kOnline, PeerState::kUnknown),
+              m.ip);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<ResolveResponse> Decode(const Bytes& data) {
+    return wire::Decode<ResolveResponse>(data);
+  }
 };
 
 /// Peer-discovery request: an already registered member asks its LIGLO
@@ -98,24 +127,35 @@ struct PeersRequest {
   uint64_t request_id = 0;
   Bpid requester;
 
-  Bytes Encode() const;
-  static Result<PeersRequest> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) {
+    return io(m.request_id, m.requester);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<PeersRequest> Decode(const Bytes& data) {
+    return wire::Decode<PeersRequest>(data);
+  }
 };
 
 struct PeersResponse {
   uint64_t request_id = 0;
   std::vector<PeerEntry> peers;
 
-  Bytes Encode() const;
-  static Result<PeersResponse> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.request_id, m.peers); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<PeersResponse> Decode(const Bytes& data) {
+    return wire::Decode<PeersResponse>(data);
+  }
 };
 
 /// Liveness probe used by the server's periodic validity sweep.
 struct PingMessage {
   uint64_t nonce = 0;
 
-  Bytes Encode() const;
-  static Result<PingMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.nonce); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<PingMessage> Decode(const Bytes& data) {
+    return wire::Decode<PingMessage>(data);
+  }
 };
 
 struct PongMessage {
@@ -123,8 +163,11 @@ struct PongMessage {
   Bpid bpid;
   IpAddress ip = kInvalidIp;
 
-  Bytes Encode() const;
-  static Result<PongMessage> Decode(const Bytes& data);
+  static Status Wire(auto& m, auto& io) { return io(m.nonce, m.bpid, m.ip); }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<PongMessage> Decode(const Bytes& data) {
+    return wire::Decode<PongMessage>(data);
+  }
 };
 
 }  // namespace bestpeer::liglo

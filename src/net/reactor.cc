@@ -16,14 +16,10 @@
 
 namespace bestpeer::net {
 
-namespace {
-
 void SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
-
-}  // namespace
 
 Reactor::Reactor() : epoch_(std::chrono::steady_clock::now()) {
 #if defined(__linux__)

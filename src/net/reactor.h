@@ -15,6 +15,9 @@
 
 namespace bestpeer::net {
 
+/// Puts `fd` in non-blocking mode (best effort, like every caller needs).
+void SetNonBlocking(int fd);
+
 /// A single-threaded I/O event loop: non-blocking sockets multiplexed
 /// with epoll (poll(2) fallback on non-Linux), a monotonic timer heap and
 /// a cross-thread Post() queue woken through an eventfd/pipe.

@@ -1,7 +1,6 @@
 #include "net/tcp_transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -17,11 +16,6 @@
 namespace bestpeer::net {
 
 namespace {
-
-void SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 void SetNoDelay(int fd) {
   int one = 1;

@@ -1,14 +1,33 @@
 #ifndef BESTPEER_OBS_STAT_FRAME_H_
 #define BESTPEER_OBS_STAT_FRAME_H_
 
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "util/bytes.h"
 #include "util/metrics.h"
 #include "util/result.h"
 #include "util/status.h"
+#include "util/wire.h"
+
+namespace bestpeer::metrics {
+
+/// Wire layout of one snapshot entry inside a stat frame (found by
+/// util/wire.h through argument-dependent lookup).
+template <typename E>
+  requires std::same_as<std::remove_const_t<E>, SnapshotEntry>
+Status Wire(E& e, auto& io) {
+  return io(e.name,
+            wire::Enum(e.kind, InstrumentKind::kCounter,
+                       InstrumentKind::kHistogram),
+            e.labels, e.value, wire::Varint(e.count), e.min, e.max, e.bounds,
+            wire::Varint(e.buckets));
+}
+
+}  // namespace bestpeer::metrics
 
 namespace bestpeer::obs {
 
@@ -36,15 +55,24 @@ struct StatFrame {
   /// Microseconds on the sender's clock when the frame was built.
   int64_t sent_at_us = 0;
   metrics::Snapshot snapshot;
+
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Const<uint32_t>{kStatFrameMagic},
+              wire::Const<uint16_t>{kStatFrameVersion}, m.node, m.sent_at_us,
+              m.snapshot.entries);
+  }
+  /// The decode-side limits above, and bounds+1 buckets per entry with
+  /// bucket detail.
+  Status Check() const;
 };
 
 /// Serializes a stat frame (magic, version, node, timestamp, entries with
 /// kind/labels/value/count/min/max and histogram bucket detail).
 Bytes EncodeStatFrame(const StatFrame& frame);
 
-/// Bounds-checked decode; any truncation, bad magic/version or
-/// over-limit length returns InvalidArgument (never UB, never a huge
-/// allocation).
+/// Bounds-checked decode (util/wire.h); any truncation, bad
+/// magic/version, over-limit length or trailing byte returns an error
+/// Status (never UB, never a huge allocation).
 Result<StatFrame> DecodeStatFrame(const Bytes& payload);
 
 /// Collector-side state for the fleet rollup: remembers the latest frame

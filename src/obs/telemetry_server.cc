@@ -1,7 +1,6 @@
 #include "obs/telemetry_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -17,11 +16,6 @@
 namespace bestpeer::obs {
 
 namespace {
-
-void SetNonBlocking(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 const char* StatusText(int status) {
   switch (status) {
@@ -244,7 +238,7 @@ Status TelemetryServer::Start() {
       0) {
     port_ = ntohs(bound.sin_port);
   }
-  SetNonBlocking(fd);
+  net::SetNonBlocking(fd);
   listen_fd_ = fd;
   started_ = true;
   reactor_->Post([this]() {
@@ -289,7 +283,7 @@ void TelemetryServer::OnAcceptable() {
       ::close(fd);
       continue;
     }
-    SetNonBlocking(fd);
+    net::SetNonBlocking(fd);
     Conn conn(options_.parser);
     conn.fd = fd;
     conn.id = next_conn_id_++;
@@ -436,7 +430,7 @@ Result<HttpGetResult> HttpGet(const std::string& host, uint16_t port,
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));
   }
-  SetNonBlocking(fd);
+  net::SetNonBlocking(fd);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
       errno != EINPROGRESS) {
     const int err = errno;

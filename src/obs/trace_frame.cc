@@ -51,103 +51,33 @@ void AppendContextJson(std::string* out, const TraceExportContext& ctx) {
 
 }  // namespace
 
-Bytes EncodeTraceFrame(const TraceFrame& frame) {
-  BinaryWriter w;
-  w.WriteU32(kTraceFrameMagic);
-  w.WriteU16(kTraceFrameVersion);
-  w.WriteU32(frame.node);
-  w.WriteI64(frame.sent_at_us);
-  w.WriteVarint(frame.spans_dropped);
-  w.WriteVarint(frame.spans.size());
-  for (const trace::Span& s : frame.spans) {
-    w.WriteString(s.name);
-    w.WriteString(s.cat);
-    w.WriteU32(s.tid);
-    w.WriteI64(s.ts);
-    w.WriteI64(s.dur);
-    w.WriteU64(s.flow);
-    w.WriteVarint(s.args.size());
-    for (const auto& [key, value] : s.args) {
-      w.WriteString(key);
-      w.WriteU64(value);
-    }
-  }
-  return w.Take();
-}
-
-Result<TraceFrame> DecodeTraceFrame(const Bytes& payload) {
-  BinaryReader r(payload);
-  auto magic = r.ReadU32();
-  if (!magic.ok()) return magic.status();
-  if (magic.value() != kTraceFrameMagic) return Malformed("bad magic");
-  auto version = r.ReadU16();
-  if (!version.ok()) return version.status();
-  if (version.value() != kTraceFrameVersion) {
-    return Malformed("unknown version");
-  }
-  TraceFrame frame;
-  auto node = r.ReadU32();
-  if (!node.ok()) return node.status();
-  frame.node = node.value();
-  auto sent_at = r.ReadI64();
-  if (!sent_at.ok()) return sent_at.status();
-  frame.sent_at_us = sent_at.value();
-  auto dropped = r.ReadVarint();
-  if (!dropped.ok()) return dropped.status();
-  frame.spans_dropped = dropped.value();
-
-  auto span_count = r.ReadVarint();
-  if (!span_count.ok()) return span_count.status();
-  if (span_count.value() > kTraceFrameMaxSpans) {
+Status TraceFrame::Check() const {
+  if (spans.size() > kTraceFrameMaxSpans) {
     return Malformed("span count over limit");
   }
-  frame.spans.reserve(span_count.value());
-  for (uint64_t i = 0; i < span_count.value(); ++i) {
-    trace::Span s;
-    auto name = r.ReadString();
-    if (!name.ok()) return name.status();
-    if (name.value().size() > kTraceFrameMaxNameLen) {
+  for (const trace::Span& s : spans) {
+    if (s.name.size() > kTraceFrameMaxNameLen) {
       return Malformed("name over limit");
     }
-    s.name = std::move(name).value();
-    auto cat = r.ReadString();
-    if (!cat.ok()) return cat.status();
-    if (cat.value().size() > kTraceFrameMaxNameLen) {
+    if (s.cat.size() > kTraceFrameMaxNameLen) {
       return Malformed("category over limit");
     }
-    s.cat = std::move(cat).value();
-    auto tid = r.ReadU32();
-    if (!tid.ok()) return tid.status();
-    s.tid = tid.value();
-    auto ts = r.ReadI64();
-    if (!ts.ok()) return ts.status();
-    s.ts = ts.value();
-    auto dur = r.ReadI64();
-    if (!dur.ok()) return dur.status();
-    s.dur = dur.value();
-    auto flow = r.ReadU64();
-    if (!flow.ok()) return flow.status();
-    s.flow = flow.value();
-    auto arg_count = r.ReadVarint();
-    if (!arg_count.ok()) return arg_count.status();
-    if (arg_count.value() > kTraceFrameMaxArgs) {
+    if (s.args.size() > kTraceFrameMaxArgs) {
       return Malformed("arg count over limit");
     }
-    s.args.reserve(arg_count.value());
-    for (uint64_t a = 0; a < arg_count.value(); ++a) {
-      auto key = r.ReadString();
-      if (!key.ok()) return key.status();
-      if (key.value().size() > kTraceFrameMaxNameLen) {
+    for (const auto& [key, value] : s.args) {
+      if (key.size() > kTraceFrameMaxNameLen) {
         return Malformed("arg key over limit");
       }
-      auto value = r.ReadU64();
-      if (!value.ok()) return value.status();
-      s.args.emplace_back(std::move(key).value(), value.value());
     }
-    frame.spans.push_back(std::move(s));
   }
-  if (r.remaining() != 0) return Malformed("trailing bytes");
-  return frame;
+  return Status::OK();
+}
+
+Bytes EncodeTraceFrame(const TraceFrame& frame) { return wire::Encode(frame); }
+
+Result<TraceFrame> DecodeTraceFrame(const Bytes& payload) {
+  return wire::Decode<TraceFrame>(payload);
 }
 
 // ---------------------------------------------------------------------------

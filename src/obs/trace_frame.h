@@ -1,16 +1,31 @@
 #ifndef BESTPEER_OBS_TRACE_FRAME_H_
 #define BESTPEER_OBS_TRACE_FRAME_H_
 
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/bytes.h"
 #include "util/result.h"
 #include "util/status.h"
 #include "util/trace.h"
+#include "util/wire.h"
+
+namespace bestpeer::trace {
+
+/// Wire layout of one span inside a trace frame (found by util/wire.h
+/// through argument-dependent lookup).
+template <typename S>
+  requires std::same_as<std::remove_const_t<S>, Span>
+Status Wire(S& s, auto& io) {
+  return io(s.name, s.cat, s.tid, s.ts, s.dur, s.flow, s.args);
+}
+
+}  // namespace bestpeer::trace
 
 namespace bestpeer::obs {
 
@@ -43,15 +58,23 @@ struct TraceFrame {
   /// The sender's TraceRecorder::spans_dropped() at build time.
   uint64_t spans_dropped = 0;
   std::vector<trace::Span> spans;
+
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Const<uint32_t>{kTraceFrameMagic},
+              wire::Const<uint16_t>{kTraceFrameVersion}, m.node, m.sent_at_us,
+              wire::Varint(m.spans_dropped), m.spans);
+  }
+  /// The decode-side limits above.
+  Status Check() const;
 };
 
 /// Serializes a trace frame (magic, version, node, timestamp, drop
 /// counter, spans with name/cat/tid/ts/dur/flow/args).
 Bytes EncodeTraceFrame(const TraceFrame& frame);
 
-/// Bounds-checked decode; any truncation, bad magic/version or
-/// over-limit length returns InvalidArgument (never UB, never a huge
-/// allocation).
+/// Bounds-checked decode (util/wire.h); any truncation, bad
+/// magic/version, over-limit length or trailing byte returns an error
+/// Status (never UB, never a huge allocation).
 Result<TraceFrame> DecodeTraceFrame(const Bytes& payload);
 
 /// Everything the collector's JSON exports need to know about "here and

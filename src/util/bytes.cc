@@ -32,7 +32,8 @@ void BinaryWriter::WriteRaw(const void* data, size_t len) {
 }
 
 Status BinaryReader::Need(size_t n) const {
-  if (pos_ + n > len_) {
+  // Written so that no `n` read from the wire can wrap the sum.
+  if (n > len_ - pos_) {
     return Status::OutOfRange("truncated input: need " + std::to_string(n) +
                               " bytes at offset " + std::to_string(pos_) +
                               " of " + std::to_string(len_));

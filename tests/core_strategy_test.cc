@@ -8,6 +8,10 @@
 namespace bestpeer::core {
 namespace {
 
+const ReconfigStrategy& Strategy(std::string_view name) {
+  return *MakeReconfigStrategy(name).value();
+}
+
 PeerObservation Obs(NodeId node, uint64_t answers, uint16_t hops) {
   PeerObservation o;
   o.node = node;
@@ -17,7 +21,7 @@ PeerObservation Obs(NodeId node, uint64_t answers, uint16_t hops) {
 }
 
 TEST(MaxCountTest, KeepsTopAnswerers) {
-  MaxCountStrategy s;
+  const ReconfigStrategy& s = Strategy("maxcount");
   std::vector<PeerObservation> obs = {Obs(10, 5, 2), Obs(11, 50, 3),
                                       Obs(12, 20, 1)};
   auto result = s.SelectPeers(obs, {1, 2}, 2);
@@ -26,34 +30,34 @@ TEST(MaxCountTest, KeepsTopAnswerers) {
 
 TEST(MaxCountTest, FigureTwoScenario) {
   // Fig. 2: X has peers A, B; answers come from C and E; k = 4 keeps all.
-  MaxCountStrategy s;
+  const ReconfigStrategy& s = Strategy("maxcount");
   std::vector<PeerObservation> obs = {Obs(/*C=*/3, 7, 2), Obs(/*E=*/5, 4, 3)};
   auto result = s.SelectPeers(obs, {/*A=*/1, /*B=*/2}, 4);
   EXPECT_EQ(result, (std::vector<NodeId>{1, 2, 3, 5}));
 }
 
 TEST(MaxCountTest, NonRespondingPeersRankLast) {
-  MaxCountStrategy s;
+  const ReconfigStrategy& s = Strategy("maxcount");
   // One answering stranger beats silent current peers when k=1.
   auto result = s.SelectPeers({Obs(9, 1, 4)}, {1, 2, 3}, 1);
   EXPECT_EQ(result, (std::vector<NodeId>{9}));
 }
 
 TEST(MaxCountTest, TieBrokenByNodeId) {
-  MaxCountStrategy s;
+  const ReconfigStrategy& s = Strategy("maxcount");
   auto result = s.SelectPeers({Obs(5, 10, 1), Obs(3, 10, 1)}, {}, 1);
   EXPECT_EQ(result, (std::vector<NodeId>{3}));
 }
 
 TEST(MaxCountTest, CurrentPeerStatsCombineWithObservation) {
-  MaxCountStrategy s;
+  const ReconfigStrategy& s = Strategy("maxcount");
   // Current peer 1 also answered: its observation wins over the default 0.
   auto result = s.SelectPeers({Obs(1, 9, 1), Obs(2, 3, 2)}, {1}, 1);
   EXPECT_EQ(result, (std::vector<NodeId>{1}));
 }
 
 TEST(MinHopsTest, PrefersFartherNodes) {
-  MinHopsStrategy s;
+  const ReconfigStrategy& s = Strategy("minhops");
   std::vector<PeerObservation> obs = {Obs(10, 5, 1), Obs(11, 5, 4),
                                       Obs(12, 5, 2)};
   auto result = s.SelectPeers(obs, {}, 2);
@@ -61,20 +65,20 @@ TEST(MinHopsTest, PrefersFartherNodes) {
 }
 
 TEST(MinHopsTest, TieBrokenByAnswers) {
-  MinHopsStrategy s;
+  const ReconfigStrategy& s = Strategy("minhops");
   std::vector<PeerObservation> obs = {Obs(10, 5, 3), Obs(11, 50, 3)};
   auto result = s.SelectPeers(obs, {}, 1);
   EXPECT_EQ(result, (std::vector<NodeId>{11}));
 }
 
 TEST(MinHopsTest, SilentCurrentPeersTreatedAsOneHop) {
-  MinHopsStrategy s;
+  const ReconfigStrategy& s = Strategy("minhops");
   auto result = s.SelectPeers({Obs(9, 1, 2)}, {1}, 1);
   EXPECT_EQ(result, (std::vector<NodeId>{9}));
 }
 
 TEST(FastestResponseTest, PrefersEarliestResponders) {
-  FastestResponseStrategy s;
+  const ReconfigStrategy& s = Strategy("fastest");
   PeerObservation slow = Obs(10, 5, 1);
   slow.first_response = 9000;
   PeerObservation fast = Obs(11, 5, 1);
@@ -86,7 +90,7 @@ TEST(FastestResponseTest, PrefersEarliestResponders) {
 }
 
 TEST(FastestResponseTest, RespondersBeatSilentPeers) {
-  FastestResponseStrategy s;
+  const ReconfigStrategy& s = Strategy("fastest");
   PeerObservation responder = Obs(9, 1, 3);
   responder.first_response = 50000;  // Slow, but it answered.
   auto result = s.SelectPeers({responder}, {1, 2}, 1);
@@ -94,7 +98,7 @@ TEST(FastestResponseTest, RespondersBeatSilentPeers) {
 }
 
 TEST(FastestResponseTest, TieBrokenByAnswers) {
-  FastestResponseStrategy s;
+  const ReconfigStrategy& s = Strategy("fastest");
   PeerObservation a = Obs(5, 2, 1);
   a.first_response = 1000;
   PeerObservation b = Obs(6, 9, 1);
@@ -104,14 +108,14 @@ TEST(FastestResponseTest, TieBrokenByAnswers) {
 }
 
 TEST(NoReconfigTest, KeepsCurrentPeers) {
-  NoReconfigStrategy s;
+  const ReconfigStrategy& s = Strategy("none");
   auto result =
       s.SelectPeers({Obs(9, 100, 5)}, {1, 2, 3}, 3);
   EXPECT_EQ(result, (std::vector<NodeId>{1, 2, 3}));
 }
 
 TEST(NoReconfigTest, TruncatesToCapacity) {
-  NoReconfigStrategy s;
+  const ReconfigStrategy& s = Strategy("none");
   auto result = s.SelectPeers({}, {1, 2, 3, 4}, 2);
   EXPECT_EQ(result.size(), 2u);
 }
@@ -174,7 +178,7 @@ TEST_P(StrategyPropertyTest, SelectionInvariants) {
 
 TEST_P(StrategyPropertyTest, MaxCountIsGreedyOptimal) {
   bestpeer::Rng rng(GetParam() ^ 0xABCDEF);
-  MaxCountStrategy s;
+  const ReconfigStrategy& s = Strategy("maxcount");
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<PeerObservation> obs;
     size_t nobs = rng.NextBounded(15) + 1;

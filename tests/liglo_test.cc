@@ -8,6 +8,7 @@
 #include "net/sim_transport.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
+#include "util/wire.h"
 
 namespace bestpeer::liglo {
 namespace {
@@ -27,10 +28,7 @@ TEST(BpidTest, ToStringAndParse) {
 
 TEST(BpidTest, EncodeDecode) {
   Bpid bpid{7, 1234};
-  BinaryWriter w;
-  bpid.EncodeTo(w);
-  BinaryReader r(w.buffer());
-  EXPECT_EQ(Bpid::DecodeFrom(r).value(), bpid);
+  EXPECT_EQ(wire::Decode<Bpid>(wire::Encode(bpid)).value(), bpid);
 }
 
 TEST(BpidTest, Validity) {
