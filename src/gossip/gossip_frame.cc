@@ -6,9 +6,6 @@ Status GossipFrame::Check() const {
   if ((flags & ~kFlagResponse) != 0) {
     return Status::InvalidArgument("gossip frame: unknown flags");
   }
-  if (items.size() > kGossipFrameMaxItems) {
-    return Status::InvalidArgument("gossip frame: item count over limit");
-  }
   return Status::OK();
 }
 

@@ -69,9 +69,9 @@ struct GossipFrame {
   static Status Wire(auto& m, auto& io) {
     return io(wire::Const<uint32_t>{kGossipFrameMagic},
               wire::Const<uint16_t>{kGossipFrameVersion}, m.sender, m.round,
-              m.flags, m.items);
+              m.flags, wire::Max(m.items, kGossipFrameMaxItems));
   }
-  /// Unknown flag bits and over-limit item counts are corrupt.
+  /// Unknown flag bits are corrupt.
   Status Check() const;
 };
 

@@ -13,26 +13,17 @@ Status Malformed(const std::string& what) {
 }  // namespace
 
 Status StatFrame::Check() const {
-  if (snapshot.entries.size() > kStatFrameMaxEntries) {
-    return Malformed("entry count over limit");
-  }
   for (const metrics::SnapshotEntry& e : snapshot.entries) {
     if (e.name.size() > kStatFrameMaxNameLen) {
       return Malformed("name over limit");
-    }
-    if (e.labels.size() > kStatFrameMaxLabels) {
-      return Malformed("label count over limit");
     }
     for (const auto& [k, v] : e.labels) {
       if (k.size() > kStatFrameMaxNameLen || v.size() > kStatFrameMaxNameLen) {
         return Malformed("label over limit");
       }
     }
-    if (e.bounds.size() > kStatFrameMaxBuckets) {
-      return Malformed("bound count over limit");
-    }
-    // A histogram with bucket detail must have bounds+1 buckets (so at
-    // most kStatFrameMaxBuckets + 1); frames without detail carry zero.
+    // A histogram with bucket detail must have bounds+1 buckets; frames
+    // without detail carry zero.
     if (!e.buckets.empty() && e.buckets.size() != e.bounds.size() + 1) {
       return Malformed("bucket/bound count mismatch");
     }

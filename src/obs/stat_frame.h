@@ -13,22 +13,6 @@
 #include "util/status.h"
 #include "util/wire.h"
 
-namespace bestpeer::metrics {
-
-/// Wire layout of one snapshot entry inside a stat frame (found by
-/// util/wire.h through argument-dependent lookup).
-template <typename E>
-  requires std::same_as<std::remove_const_t<E>, SnapshotEntry>
-Status Wire(E& e, auto& io) {
-  return io(e.name,
-            wire::Enum(e.kind, InstrumentKind::kCounter,
-                       InstrumentKind::kHistogram),
-            e.labels, e.value, wire::Varint(e.count), e.min, e.max, e.bounds,
-            wire::Varint(e.buckets));
-}
-
-}  // namespace bestpeer::metrics
-
 namespace bestpeer::obs {
 
 /// Message type tag for fleet stat frames: nodes periodically push a
@@ -49,6 +33,29 @@ constexpr size_t kStatFrameMaxLabels = 16;
 constexpr size_t kStatFrameMaxNameLen = 256;
 constexpr size_t kStatFrameMaxBuckets = 256;
 
+}  // namespace bestpeer::obs
+
+namespace bestpeer::metrics {
+
+/// Wire layout of one snapshot entry inside a stat frame (found by
+/// util/wire.h through argument-dependent lookup). A histogram with
+/// bucket detail has bounds+1 buckets, so at most kStatFrameMaxBuckets + 1.
+template <typename E>
+  requires std::same_as<std::remove_const_t<E>, SnapshotEntry>
+Status Wire(E& e, auto& io) {
+  return io(e.name,
+            wire::Enum(e.kind, InstrumentKind::kCounter,
+                       InstrumentKind::kHistogram),
+            wire::Max(e.labels, obs::kStatFrameMaxLabels), e.value,
+            wire::Varint(e.count), e.min, e.max,
+            wire::Max(e.bounds, obs::kStatFrameMaxBuckets),
+            wire::Max(wire::Varint(e.buckets), obs::kStatFrameMaxBuckets + 1));
+}
+
+}  // namespace bestpeer::metrics
+
+namespace bestpeer::obs {
+
 /// One node's pushed stats: who it is and its metrics at push time.
 struct StatFrame {
   uint32_t node = 0xFFFFFFFF;
@@ -59,10 +66,10 @@ struct StatFrame {
   static Status Wire(auto& m, auto& io) {
     return io(wire::Const<uint32_t>{kStatFrameMagic},
               wire::Const<uint16_t>{kStatFrameVersion}, m.node, m.sent_at_us,
-              m.snapshot.entries);
+              wire::Max(m.snapshot.entries, kStatFrameMaxEntries));
   }
-  /// The decode-side limits above, and bounds+1 buckets per entry with
-  /// bucket detail.
+  /// The name and label length limits above, and bounds+1 buckets per
+  /// entry with bucket detail.
   Status Check() const;
 };
 

@@ -52,18 +52,12 @@ void AppendContextJson(std::string* out, const TraceExportContext& ctx) {
 }  // namespace
 
 Status TraceFrame::Check() const {
-  if (spans.size() > kTraceFrameMaxSpans) {
-    return Malformed("span count over limit");
-  }
   for (const trace::Span& s : spans) {
     if (s.name.size() > kTraceFrameMaxNameLen) {
       return Malformed("name over limit");
     }
     if (s.cat.size() > kTraceFrameMaxNameLen) {
       return Malformed("category over limit");
-    }
-    if (s.args.size() > kTraceFrameMaxArgs) {
-      return Malformed("arg count over limit");
     }
     for (const auto& [key, value] : s.args) {
       if (key.size() > kTraceFrameMaxNameLen) {

@@ -15,18 +15,6 @@
 #include "util/trace.h"
 #include "util/wire.h"
 
-namespace bestpeer::trace {
-
-/// Wire layout of one span inside a trace frame (found by util/wire.h
-/// through argument-dependent lookup).
-template <typename S>
-  requires std::same_as<std::remove_const_t<S>, Span>
-Status Wire(S& s, auto& io) {
-  return io(s.name, s.cat, s.tid, s.ts, s.dur, s.flow, s.args);
-}
-
-}  // namespace bestpeer::trace
-
 namespace bestpeer::obs {
 
 /// Message type tag for trace span shipping: every process in a fleet
@@ -46,6 +34,23 @@ constexpr size_t kTraceFrameMaxSpans = 4096;
 constexpr size_t kTraceFrameMaxArgs = 16;
 constexpr size_t kTraceFrameMaxNameLen = 256;
 
+}  // namespace bestpeer::obs
+
+namespace bestpeer::trace {
+
+/// Wire layout of one span inside a trace frame (found by util/wire.h
+/// through argument-dependent lookup).
+template <typename S>
+  requires std::same_as<std::remove_const_t<S>, Span>
+Status Wire(S& s, auto& io) {
+  return io(s.name, s.cat, s.tid, s.ts, s.dur, s.flow,
+            wire::Max(s.args, obs::kTraceFrameMaxArgs));
+}
+
+}  // namespace bestpeer::trace
+
+namespace bestpeer::obs {
+
 /// One push of spans from one process: who sent it, when on the sender's
 /// clock (the collector derives the clock offset from this), how many
 /// spans the sender's ring has dropped in total, and the spans
@@ -62,9 +67,10 @@ struct TraceFrame {
   static Status Wire(auto& m, auto& io) {
     return io(wire::Const<uint32_t>{kTraceFrameMagic},
               wire::Const<uint16_t>{kTraceFrameVersion}, m.node, m.sent_at_us,
-              wire::Varint(m.spans_dropped), m.spans);
+              wire::Varint(m.spans_dropped),
+              wire::Max(m.spans, kTraceFrameMaxSpans));
   }
-  /// The decode-side limits above.
+  /// The name length limit above.
   Status Check() const;
 };
 

@@ -40,18 +40,21 @@
 /// and by marker:
 ///   Varint(x)                 a uint64_t, or each uint64_t of a vector, as
 ///                             an LEB128 varint
+///   Max(v, n)                 a vector, or a Varint of one, of at most n
+///                             elements
 ///   Enum(x, lo, hi)           a one-byte enum whose value lies in [lo, hi]
 ///   Const<T>{v}               a leading magic or version that must read v
 ///   io.Optional(present)      gates one trailing section: written iff
 ///                             `present`, read iff bytes remain
 ///
 /// Decoding applies the same rules to every format: truncation fails; a
-/// count larger than the bytes left fails before any element is stored
-/// (elements are appended as they parse, so memory follows the input); an
-/// enum byte out of range or a constant that reads back different fails;
-/// and trailing bytes fail. A struct may add `Status Check() const` for
-/// rules that are not layout (caps, cross-field constraints); the Reader
-/// calls it right after the struct's fields.
+/// count larger than the bytes left, or than its Max, fails before any
+/// element is stored (elements are appended as they parse, so memory
+/// follows the input); an enum byte out of range or a constant that reads
+/// back different fails; and trailing bytes fail. A struct may add
+/// `Status Check() const` for rules that are not layout (name lengths,
+/// cross-field constraints); the Reader calls it right after the struct's
+/// fields.
 namespace bestpeer::wire {
 
 template <typename T>
@@ -61,6 +64,16 @@ struct VarintField {
 template <typename T>
 VarintField<T> Varint(T& v) {
   return {v};
+}
+
+template <typename F>
+struct MaxField {
+  F field;
+  uint64_t max;
+};
+template <typename F>
+MaxField<F> Max(F&& field, uint64_t max) {
+  return {std::forward<F>(field), max};
 }
 
 template <typename E>
@@ -107,7 +120,15 @@ class Writer {
     if constexpr (std::is_same_v<T, bool>) {
       out_.WriteU8(v ? 1 : 0);
     } else if constexpr (std::is_integral_v<T>) {
-      out_.WriteRaw(&v, sizeof(v));  // Every supported host is little-endian.
+      if constexpr (sizeof(T) == 1) {
+        out_.WriteU8(static_cast<uint8_t>(v));
+      } else if constexpr (sizeof(T) == 2) {
+        out_.WriteU16(static_cast<uint16_t>(v));
+      } else if constexpr (sizeof(T) == 4) {
+        out_.WriteU32(static_cast<uint32_t>(v));
+      } else {
+        out_.WriteU64(static_cast<uint64_t>(v));
+      }
     } else if constexpr (std::is_same_v<T, double>) {
       out_.WriteU64(std::bit_cast<uint64_t>(v));
     } else {
@@ -137,6 +158,10 @@ class Writer {
   void Put(const VarintField<const std::vector<uint64_t>>& f) {
     out_.WriteVarint(f.v.size());
     for (uint64_t e : f.v) out_.WriteVarint(e);
+  }
+  template <typename F>
+  void Put(const MaxField<F>& f) {
+    Put(f.field);
   }
   template <typename E>
   void Put(const EnumField<E>& f) {
@@ -207,8 +232,8 @@ class Reader {
     return Status::OK();
   }
   template <typename T>
-  Status Get(std::vector<T>& v) {
-    BP_ASSIGN_OR_RETURN(uint64_t n, Count());
+  Status Get(std::vector<T>& v, uint64_t max = UINT64_MAX) {
+    BP_ASSIGN_OR_RETURN(uint64_t n, Count(max));
     v.clear();
     for (uint64_t i = 0; i < n; ++i) BP_RETURN_IF_ERROR(Get(v.emplace_back()));
     return Status::OK();
@@ -222,14 +247,19 @@ class Reader {
     BP_ASSIGN_OR_RETURN(f.v, in_.ReadVarint());
     return Status::OK();
   }
-  Status Get(VarintField<std::vector<uint64_t>>& f) {
-    BP_ASSIGN_OR_RETURN(uint64_t n, Count());
+  Status Get(VarintField<std::vector<uint64_t>>& f,
+             uint64_t max = UINT64_MAX) {
+    BP_ASSIGN_OR_RETURN(uint64_t n, Count(max));
     f.v.clear();
     for (uint64_t i = 0; i < n; ++i) {
       BP_ASSIGN_OR_RETURN(uint64_t e, in_.ReadVarint());
       f.v.push_back(e);
     }
     return Status::OK();
+  }
+  template <typename F>
+  Status Get(MaxField<F>& f) {
+    return Get(f.field, f.max);
   }
   template <typename E>
   Status Get(EnumField<E>& f) {
@@ -247,10 +277,11 @@ class Reader {
   }
 
   /// An element count: every element takes at least one byte, so a count
-  /// past the bytes left is corrupt.
-  Result<uint64_t> Count() {
+  /// past the bytes left is corrupt, and so is one past the field's Max.
+  Result<uint64_t> Count(uint64_t max) {
     BP_ASSIGN_OR_RETURN(uint64_t n, in_.ReadVarint());
     if (n > in_.remaining()) return Status::Corruption("count exceeds payload");
+    if (n > max) return Status::Corruption("count over limit");
     return n;
   }
 

@@ -1,9 +1,10 @@
 // One hostile-input table over every wire format that util/wire.h codes:
 // each format round-trips a populated sample, encodes to golden bytes (so a
 // layout change fails here), rejects every strict prefix and one appended
-// byte, rejects a vector count of 2^62, and survives a flipped byte or an
-// oversized varint at every offset. The decoders that stay hand-written
-// (content summaries, BPF1 frame headers) run through the same sweeps.
+// byte, rejects a vector count of 2^62 and, at the count, one past a
+// frame's cap, and survives a flipped byte or an oversized varint at every
+// offset. The decoders that stay hand-written (content summaries, BPF1
+// frame headers) run through the same sweeps.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agent/agent_message.h"
@@ -97,6 +99,8 @@ struct Format {
   std::string golden;
   /// Offsets of the vector counts in `encoded`.
   std::vector<size_t> counts;
+  /// The offset and wire::Max of each capped count.
+  std::vector<std::pair<size_t, size_t>> caps;
   /// A prefix this long is itself a valid message (an optional trailing
   /// section cut off).
   size_t ok_prefix = kNone;
@@ -110,7 +114,7 @@ Format Row(std::string name, const M& sample, std::string golden,
     return wire::Encode(decoded);
   };
   return {std::move(name), wire::Encode(sample), std::move(round_trip),
-          std::move(golden), std::move(counts)};
+          std::move(golden), std::move(counts), {}};
 }
 
 core::ResultItem Item(storm::ObjectId id, const std::string& content) {
@@ -276,6 +280,7 @@ std::vector<Format> Formats() {
                      "020000006300000000000000030000000700000000000000080000"
                      "0000000000",
                      {19}));
+  rows.back().caps = {{19, gossip::kGossipFrameMaxItems}};
 
   obs::StatFrame stat;
   stat.node = 3;
@@ -301,6 +306,10 @@ std::vector<Format> Formats() {
       "00000000000000254003000000000000f03f000000000000184002000000000000f03f"
       "000000000000144003010101",
       {18, 29, 62, 63, 70, 96, 113}));
+  rows.back().caps = {{18, obs::kStatFrameMaxEntries},
+                      {29, obs::kStatFrameMaxLabels},
+                      {96, obs::kStatFrameMaxBuckets},
+                      {113, obs::kStatFrameMaxBuckets + 1}};
 
   obs::TraceFrame trace_frame;
   trace_frame.node = 3;
@@ -313,6 +322,8 @@ std::vector<Format> Formats() {
                      "717565727903000000640000000000000032000000000000004200"
                      "0000000000000107616e73776572730500000000000000",
                      {19, 60}));
+  rows.back().caps = {{19, obs::kTraceFrameMaxSpans},
+                      {60, obs::kTraceFrameMaxArgs}};
   return rows;
 }
 
@@ -334,12 +345,24 @@ TEST(WireTest, EveryFormatRejectsHostileInput) {
                 std::string::npos)
           << at << ": " << huge.status().ToString();
     }
+    // A count past its cap fails at the count, before any element is
+    // stored: with more than enough bytes behind it, the error is the cap,
+    // not the payload size, a truncated element or a Check() rule.
+    for (auto [at, max] : f.caps) {
+      Bytes over = Splice(f.encoded, at, Varint(max + 1));
+      over.resize(over.size() + max + 1, 0x00);
+      auto r = f.round_trip(over);
+      ASSERT_FALSE(r.ok()) << "count " << max + 1 << " at " << at;
+      EXPECT_NE(r.status().message().find("count over limit"),
+                std::string::npos)
+          << at << ": " << r.status().ToString();
+    }
     SweepPrefixesAndFlips(f.encoded, f.round_trip, f.ok_prefix);
   }
 }
 
-// Every Check() rule, at and just past its limit: a well-formed layout
-// that breaks a rule still fails to decode.
+// Every cap and Check() rule, at and just past its limit: a well-formed
+// layout that breaks a rule still fails to decode.
 TEST(WireTest, ChecksRejectWhatTheLayoutAllows) {
   auto gossip_ok = [](size_t items, uint8_t flags) {
     gossip::GossipFrame frame;
