@@ -155,13 +155,19 @@ void Reactor::DrainPosted() {
     std::lock_guard<std::mutex> lock(post_mu_);
     batch.swap(posted_);
   }
-  for (Fn& fn : batch) fn();
+  for (Fn& fn : batch) {
+    callback_start_us_ = now_us();
+    fn();
+  }
 }
 
 int Reactor::RunTimersAndTimeout() {
-  while (!timers_.empty() && timers_.top().deadline_us <= now_us()) {
+  while (!timers_.empty()) {
+    const int64_t now = now_us();
+    if (timers_.top().deadline_us > now) break;
     Fn fn = std::move(const_cast<Timer&>(timers_.top()).fn);
     timers_.pop();
+    callback_start_us_ = now;
     fn();
   }
   if (timers_.empty()) return 100;  // Idle tick; wakeup fd cuts it short.

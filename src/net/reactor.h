@@ -56,8 +56,16 @@ class Reactor {
   int64_t now_us() const;
 
   /// Schedules `fn` at an absolute now_us()-relative deadline. Reactor
-  /// thread only (route external callers through Post).
+  /// thread only (route external callers through Post). Timers with equal
+  /// deadlines fire in the order they were added.
   void AddTimerAt(int64_t deadline_us, Fn fn);
+
+  /// now_us() when the callback now running began: the posted task or
+  /// timer the loop is in, or the last MarkCallbackStart(). Fd callbacks
+  /// are not stamped; one that needs the stamp marks its own start, as
+  /// TcpTransport does for each frame it delivers. Reactor thread only.
+  int64_t callback_start_us() const { return callback_start_us_; }
+  void MarkCallbackStart() { callback_start_us_ = now_us(); }
 
   /// Registers interest in `fd`. Reactor thread only.
   void AddFd(int fd, bool want_read, bool want_write, FdFn fn);
@@ -99,6 +107,7 @@ class Reactor {
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>>
       timers_;
   uint64_t timer_seq_ = 0;
+  int64_t callback_start_us_ = 0;
 
   std::map<int, Watch> watches_;
 

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -92,26 +91,40 @@ Clock& TcpTransport::clock() { return net_->clock(); }
 void TcpTransport::RunCpu(SimTime cost, std::function<void()> done,
                           const char* name, FlowId flow, CpuArgs args) {
   Reactor& reactor = net_->reactor();
-  auto task = [this, cost, done = std::move(done), name, flow,
-               args = std::move(args)]() mutable {
-    // Serialize CPU work per node like sim::CpuModel: each task starts no
-    // earlier than the previous one finished.
-    const SimTime now = net_->reactor().now_us();
-    SimTime start = std::max(now, cpu_free_at_);
-    cpu_free_at_ = start + cost;
-    trace::TraceRecorder* recorder = net_->options().trace;
-    if (recorder != nullptr && name != nullptr &&
-        (flow != 0 ? recorder->Sampled(flow) : recorder->sample_all())) {
-      recorder->RecordSpan(trace::CpuSpan(name, node_, now, start, cost, flow,
-                                          std::move(args)));
-    }
-    net_->reactor().AddTimerAt(cpu_free_at_, std::move(done));
-  };
-  if (reactor.OnReactorThread()) {
-    task();
-  } else {
-    reactor.Post(std::move(task));
+  if (!reactor.OnReactorThread()) {
+    reactor.Post([this, cost, done = std::move(done), name, flow,
+                  args = std::move(args)]() mutable {
+      RunCpu(cost, std::move(done), name, flow, std::move(args));
+    });
+    return;
   }
+  // The caller has already done the work `cost` models, so nothing waits
+  // it out: `done` is a timer due now, which runs after the submitting
+  // callback returns and after every task submitted before it.
+  const SimTime submit = reactor.now_us();
+  trace::TraceRecorder* recorder = net_->options().trace;
+  if (recorder != nullptr && name != nullptr &&
+      (flow != 0 ? recorder->Sampled(flow) : recorder->sample_all())) {
+    // The span measures host time on the reactor thread (DESIGN.md §12):
+    // the submitting callback up to the submit, plus `done` itself. The
+    // modelled figures ride along as model_* args.
+    done = [this, recorder, cost, name, flow, submit,
+            begin = reactor.callback_start_us(), args = std::move(args),
+            done = std::move(done)]() mutable {
+      Reactor& r = net_->reactor();
+      const SimTime start = r.callback_start_us();
+      done();
+      const SimTime end = r.now_us();
+      for (auto& arg : args) arg.first.insert(0, "model_");
+      args.emplace_back("model_us", static_cast<uint64_t>(cost));
+      // Like a simulated task, the span ends when `done` does and its
+      // queue wait precedes it, reaching back to the submitting callback.
+      const SimTime dur = (submit - begin) + (end - start);
+      recorder->RecordSpan(trace::CpuSpan(name, node_, begin, end - dur, dur,
+                                          flow, std::move(args)));
+    };
+  }
+  reactor.AddTimerAt(submit, std::move(done));
 }
 
 void TcpTransport::RegisterTypeName(uint32_t type, std::string name) {
@@ -452,6 +465,8 @@ void TcpTransport::Deliver(const FrameHeader& header, Bytes payload) {
     recorder->Record(e);
   }
   trace::TraceRecorder* recorder = net_->options().trace;
+  // Each frame is its own callback for the cpu spans its handler submits.
+  if (recorder != nullptr) net_->reactor().MarkCallbackStart();
   if (recorder != nullptr && header.sampled() && header.flow != 0) {
     if (recorder->ForceSample(header.flow)) {
       // First sighting of this sampled flow in this process — cross-link
@@ -464,7 +479,7 @@ void TcpTransport::Deliver(const FrameHeader& header, Bytes payload) {
     span.cat = "net";
     span.tid = node_;
     span.flow = header.flow;
-    const SimTime now = net_->reactor().now_us();
+    const SimTime now = net_->reactor().callback_start_us();
     if (net_->IsLocal(header.src) && header.sent_at_us > 0 &&
         header.sent_at_us <= now) {
       // Same process, same clock: the span covers queue + wire time.

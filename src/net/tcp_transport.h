@@ -63,6 +63,11 @@ struct TcpOptions {
 /// protocol stacks keep the simulator's single-threaded execution model
 /// while the bytes travel through the kernel for real.
 ///
+/// The CPU is real too. RunCpu does not emulate the modelled `cost`: the
+/// caller's work has already run on the reactor thread, so `done` only
+/// waits for its turn, and a sampled task's cpu span records the host
+/// time it measured, with `cost` beside it as the `model_us` arg.
+///
 /// Connections are dialed on demand (first Send to a peer), framed with
 /// net::Frame (64-byte header + payload), and redialed with exponential
 /// backoff after failures; messages queued on a dead peer survive up to
@@ -141,7 +146,6 @@ class TcpTransport final : public Transport {
   std::map<NodeId, PeerConn> peers_;
   std::map<int, std::unique_ptr<InConn>> inbound_;
   std::map<uint32_t, std::string> type_names_;
-  SimTime cpu_free_at_ = 0;
   uint64_t next_msg_id_ = 1;
 
   std::atomic<uint64_t> tx_dropped_{0};

@@ -62,8 +62,10 @@ class Clock {
 class Transport {
  public:
   using Handler = std::function<void(const Message&)>;
-  /// Extra key/value pairs attached to a CPU task's trace span. Build
-  /// them behind a trace() != nullptr check so untraced runs pay nothing.
+  /// The named parts of a CPU task's modelled cost (agent.execute's setup
+  /// and scan), attached to its trace span. Over TCP, where the span
+  /// measures host time, each is recorded as model_<name>. Build them
+  /// behind a trace() != nullptr check so untraced runs pay nothing.
   using CpuArgs = std::vector<std::pair<std::string, uint64_t>>;
 
   virtual ~Transport() = default;
@@ -83,10 +85,15 @@ class Transport {
   /// The transport's scheduling surface.
   virtual Clock& clock() = 0;
 
-  /// Runs `done` after charging `cost` microseconds of CPU time to this
-  /// node. In the simulator this queues on the node's CpuModel (creating
-  /// contention under load); over TCP it is a timer. `name`/`flow`/`args`
-  /// feed the task's trace span exactly as sim::CpuModel::Submit does.
+  /// Charges this node `cost` microseconds of CPU time (the modelled price
+  /// of work the caller has just done) and then runs `done`, never inside
+  /// this call. In the simulator `done` queues on the node's CpuModel and
+  /// runs `cost` virtual µs after the CPU frees up (creating contention
+  /// under load). Over TCP the work was real, so nothing waits `cost` out:
+  /// `done` runs on the reactor thread once the submitting callback has
+  /// returned, after every task submitted before it. `name`/`flow`/`args`
+  /// feed the task's trace span: virtual time in the simulator, measured
+  /// host time over TCP (DESIGN.md §12).
   virtual void RunCpu(SimTime cost, std::function<void()> done,
                       const char* name = nullptr, FlowId flow = 0,
                       CpuArgs args = {}) = 0;

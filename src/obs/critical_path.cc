@@ -89,8 +89,10 @@ struct Walker {
       out->hops.push_back(std::move(hop));
       return seg_start;
     }
-    // CPU span. agent.execute carries a setup/scan split; everything else
-    // lands whole in its classified bucket.
+    // CPU span. A simulated agent.execute carries its modelled setup/scan
+    // split; everything else lands whole in its classified bucket. A TCP
+    // span measured host time, which has no such split: it names the
+    // model's figures model_setup/model_scan, so it lands whole in scan.
     PathComponent main = ClassifyCpu(s.name);
     if (s.name == "agent.execute") {
       SimTime setup = static_cast<SimTime>(ArgOf(s, "setup"));

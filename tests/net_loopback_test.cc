@@ -1,12 +1,16 @@
 // End-to-end parity check between the two transport backends: the same
 // LIGLO + BestPeer configuration is run once over real loopback TCP
 // (net::TcpNet) and once in the simulator (net::SimTransportFleet), and
-// both must achieve identical, full recall on the keyword workload.
+// both must achieve identical, full recall on the keyword workload. A
+// table of fleet sizes and seeds (each seed draws the stores and LIGLO's
+// starter peers) keeps answers independent of modelled delays, which
+// only the simulator charges.
 
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,25 +29,28 @@
 namespace bestpeer {
 namespace {
 
-constexpr size_t kNodes = 8;
 constexpr size_t kObjectsPerNode = 16;
 constexpr size_t kMatchesPerNode = 2;
-constexpr size_t kQueries = 2;
-constexpr uint64_t kSeed = 7;
-constexpr size_t kExpectedAnswers = (kNodes - 1) * kMatchesPerNode;
+constexpr size_t kQueries = 3;
 
-core::BestPeerConfig MakeConfig() {
+/// One row of the parity table.
+struct Shape {
+  size_t nodes;
+  uint64_t seed;
+};
+
+core::BestPeerConfig MakeConfig(const Shape& shape) {
   core::BestPeerConfig config;
   config.max_direct_peers = 6;
   config.strategy = "none";
-  config.default_ttl = kNodes;
+  config.default_ttl = static_cast<uint16_t>(shape.nodes);
   return config;
 }
 
-liglo::LigloServerOptions MakeServerOptions() {
+liglo::LigloServerOptions MakeServerOptions(const Shape& shape) {
   liglo::LigloServerOptions options;
   options.initial_peer_count = 4;
-  options.sample_seed = kSeed ^ 0x5EED;
+  options.sample_seed = shape.seed ^ 0x5EED;
   return options;
 }
 
@@ -60,7 +67,7 @@ void Populate(core::BestPeerNode* node, size_t i,
 }
 
 /// Answer counts per query for the simulated run of the configuration.
-std::vector<size_t> RunSimulated() {
+std::vector<size_t> RunSimulated(const Shape& shape) {
   sim::Simulator simulator;
   sim::SimNetwork network(&simulator, {});
   net::SimTransportFleet fleet(&network);
@@ -69,13 +76,14 @@ std::vector<size_t> RunSimulated() {
   net::SimTransport* server_transport = fleet.AddNode();
   net::Dispatcher server_dispatcher(server_transport);
   liglo::LigloServer liglo_server(server_transport, &server_dispatcher,
-                                  &infra.ip_directory, MakeServerOptions());
+                                  &infra.ip_directory,
+                                  MakeServerOptions(shape));
 
-  workload::CorpusGenerator corpus({512, 300, 0.8}, kSeed);
+  workload::CorpusGenerator corpus({512, 300, 0.8}, shape.seed);
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;
-  for (size_t i = 0; i < kNodes; ++i) {
-    auto node =
-        core::BestPeerNode::Create(fleet.AddNode(), &infra, MakeConfig());
+  for (size_t i = 0; i < shape.nodes; ++i) {
+    auto node = core::BestPeerNode::Create(fleet.AddNode(), &infra,
+                                           MakeConfig(shape));
     Populate(node.value().get(), i, corpus);
     infra.code_cache.Load(node.value()->node(), core::kSearchAgentClass);
     nodes.push_back(std::move(*node));
@@ -97,21 +105,23 @@ std::vector<size_t> RunSimulated() {
   return answers;
 }
 
-/// The same configuration over real loopback TCP sockets.
-std::vector<size_t> RunOverTcp() {
+/// The same configuration over real loopback TCP sockets. Each query is
+/// read once it has `expected` answers, or after 30 s.
+std::vector<size_t> RunOverTcp(const Shape& shape, size_t expected) {
   net::TcpNet tcpnet;
   core::SharedInfra infra;
 
   net::TcpTransport* server_transport = tcpnet.AddNode().value();
   net::Dispatcher server_dispatcher(server_transport);
   liglo::LigloServer liglo_server(server_transport, &server_dispatcher,
-                                  &infra.ip_directory, MakeServerOptions());
+                                  &infra.ip_directory,
+                                  MakeServerOptions(shape));
 
-  workload::CorpusGenerator corpus({512, 300, 0.8}, kSeed);
+  workload::CorpusGenerator corpus({512, 300, 0.8}, shape.seed);
   std::vector<std::unique_ptr<core::BestPeerNode>> nodes;
-  for (size_t i = 0; i < kNodes; ++i) {
+  for (size_t i = 0; i < shape.nodes; ++i) {
     auto node = core::BestPeerNode::Create(tcpnet.AddNode().value(), &infra,
-                                           MakeConfig());
+                                           MakeConfig(shape));
     Populate(node.value().get(), i, corpus);
     infra.code_cache.Load(node.value()->node(), core::kSearchAgentClass);
     nodes.push_back(std::move(*node));
@@ -149,7 +159,7 @@ std::vector<size_t> RunOverTcp() {
     });
     wait_until([&]() {
       const core::QuerySession* s = nodes[0]->FindSession(query_id);
-      return s != nullptr && s->total_answers() >= kExpectedAnswers;
+      return s != nullptr && s->total_answers() >= expected;
     });
     size_t got = 0;
     tcpnet.Run([&]() {
@@ -162,14 +172,27 @@ std::vector<size_t> RunOverTcp() {
   return answers;
 }
 
-TEST(NetLoopbackTest, TcpKeywordWorkloadMatchesSimulatedRecall) {
-  std::vector<size_t> sim_answers = RunSimulated();
-  ASSERT_EQ(sim_answers.size(), kQueries);
-  for (size_t a : sim_answers) EXPECT_EQ(a, kExpectedAnswers);
+class NetLoopbackTest : public ::testing::TestWithParam<Shape> {};
 
-  std::vector<size_t> tcp_answers = RunOverTcp();
+TEST_P(NetLoopbackTest, TcpAnswersMatchSimulated) {
+  const Shape& shape = GetParam();
+  const size_t expected = (shape.nodes - 1) * kMatchesPerNode;
+  std::vector<size_t> sim_answers = RunSimulated(shape);
+  ASSERT_EQ(sim_answers.size(), kQueries);
+  for (size_t a : sim_answers) EXPECT_EQ(a, expected);
+
+  std::vector<size_t> tcp_answers = RunOverTcp(shape, expected);
   EXPECT_EQ(tcp_answers, sim_answers);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, NetLoopbackTest,
+    ::testing::Values(Shape{4, 7}, Shape{4, 11}, Shape{8, 7}, Shape{8, 11},
+                      Shape{16, 7}, Shape{16, 11}),
+    [](const ::testing::TestParamInfo<Shape>& info) {
+      return "n" + std::to_string(info.param.nodes) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 }  // namespace
 }  // namespace bestpeer

@@ -343,20 +343,26 @@ TEST(TcpTransportTest, RunCpuSerializesPerNode) {
   net.Start();
   std::vector<int> order;
   std::atomic<bool> done{false};
+  bool ran_inside_submit = true;
+  const auto start = std::chrono::steady_clock::now();
   net.Run([&]() {
-    // Submitted back to back: the second must wait for the first even
-    // though both were scheduled at the same instant.
-    a->RunCpu(Millis(5), [&]() { order.push_back(1); });
+    // Submitted back to back: they complete in submission order, after
+    // the submitting callback, and neither waits out its modelled cost.
+    a->RunCpu(Seconds(10), [&]() { order.push_back(1); });
     a->RunCpu(Micros(1), [&]() {
       order.push_back(2);
       done.store(true);
     });
+    ran_inside_submit = !order.empty();
   });
   for (int spin = 0; spin < 2000 && !done.load(); ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
   net.Stop();
+  EXPECT_FALSE(ran_inside_submit);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(TcpTransportTest, ClockTimersFire) {

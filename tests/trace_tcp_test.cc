@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "net/cost_model.h"
 #include "net/tcp_transport.h"
+#include "obs/critical_path.h"
 #include "obs/flight_recorder.h"
 #include "obs/json_reader.h"
 #include "obs/trace_frame.h"
@@ -25,6 +27,22 @@
 
 namespace bestpeer {
 namespace {
+
+/// Spins the calling thread for `d` of host time: work a span must measure.
+void BusyWait(SimTime d) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(d);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// The value of `span`'s arg `key`, or nullopt when it has none.
+std::optional<uint64_t> ArgOf(const trace::Span& span, const std::string& key) {
+  for (const auto& [k, v] : span.args) {
+    if (k == key) return v;
+  }
+  return std::nullopt;
+}
 
 /// Polls `done_on_reactor` (run on the net's reactor) until it holds.
 bool WaitUntil(net::TcpNet* net, const std::function<bool()>& done_on_reactor,
@@ -61,14 +79,24 @@ TEST(TraceTcpTest, RecordsCpuAndNetSpansForSampledFlows) {
 
   constexpr FlowId kFlow = 77;
   bool cpu_done = false;
+  const SimTime before = tcpnet.reactor().now_us();
   tcpnet.Run([&]() {
     t0->Send(t1->local(), 0x1234, Bytes{1, 2, 3}, /*extra_wire_bytes=*/32,
              kFlow);
-    t0->RunCpu(Micros(100), [&cpu_done]() { cpu_done = true; }, "test.cpu",
-               kFlow, {{"answers", 9}});
+    // 2 ms of the submitting callback's own work, then a task whose
+    // completion does 1 ms more: the span measures both, not the model.
+    BusyWait(Millis(2));
+    t0->RunCpu(
+        Micros(100),
+        [&cpu_done]() {
+          BusyWait(Millis(1));
+          cpu_done = true;
+        },
+        "test.cpu", kFlow, {{"setup", 60}, {"scan", 40}});
   });
   ASSERT_TRUE(WaitUntil(&tcpnet, [&]() { return delivered.load(); }));
   ASSERT_TRUE(WaitUntil(&tcpnet, [&]() { return cpu_done; }));
+  const SimTime after = tcpnet.reactor().now_us();
 
   std::vector<trace::Span> spans;
   tcpnet.Run([&]() { spans = recorder.Spans(); });
@@ -83,9 +111,21 @@ TEST(TraceTcpTest, RecordsCpuAndNetSpansForSampledFlows) {
   ASSERT_NE(cpu, nullptr);
   EXPECT_EQ(cpu->flow, kFlow);
   EXPECT_EQ(cpu->tid, t0->local());
-  EXPECT_EQ(cpu->dur, Micros(100));
-  ASSERT_EQ(cpu->args.size(), 1u);
-  EXPECT_EQ(cpu->args[0].first, "answers");
+  // Host time, measured: at least the 3 ms of busy work, and inside the
+  // wall interval around the Run, queue wait (before ts) included.
+  EXPECT_GE(cpu->dur, Millis(3));
+  EXPECT_LE(cpu->dur, after - before);
+  const SimTime qwait = static_cast<SimTime>(ArgOf(*cpu, "qwait").value_or(0));
+  EXPECT_GE(cpu->ts - qwait, before);
+  EXPECT_LE(cpu->ts + cpu->dur, after);
+  // The model's figures ride beside it, renamed so no reader takes them
+  // for host time.
+  EXPECT_EQ(ArgOf(*cpu, "model_us"), 100u);
+  EXPECT_EQ(ArgOf(*cpu, "model_setup"), 60u);
+  EXPECT_EQ(ArgOf(*cpu, "model_scan"), 40u);
+  EXPECT_EQ(ArgOf(*cpu, "setup"), std::nullopt);
+  EXPECT_EQ(ArgOf(*cpu, "scan"), std::nullopt);
+  EXPECT_EQ(cpu->args.size(), qwait > 0 ? 4u : 3u);
 
   ASSERT_NE(rx, nullptr);
   EXPECT_EQ(rx->flow, kFlow);
@@ -107,6 +147,65 @@ TEST(TraceTcpTest, RecordsCpuAndNetSpansForSampledFlows) {
   metrics::Snapshot snap = registry.TakeSnapshot();
   EXPECT_GE(snap.Value("trace.spans_recorded"), 2.0);
   EXPECT_GE(snap.Value("trace.flows_sampled"), 1.0);
+}
+
+TEST(TraceTcpTest, ExplainTakesMeasuredAgentExecuteAsHostTime) {
+  trace::TraceRecorder recorder({.ring_capacity = 64, .sample_rate = 1.0});
+  net::TcpOptions options;
+  options.trace = &recorder;
+  net::TcpNet tcpnet(options);
+  net::TcpTransport* t0 = tcpnet.AddNode().value();
+  tcpnet.Start();
+
+  // The model charges a class load, a reconstruct and a 1000-object scan
+  // (27 ms); the host does about 1 ms of work.
+  constexpr FlowId kFlow = 5;
+  const SimTime setup = net::kAgentReconstructCost + net::kAgentClassLoadCost;
+  const SimTime scan = 1000 * net::kPerObjectMatchCost;
+  net::Reactor& reactor = tcpnet.reactor();
+  SimTime begin = 0;
+  SimTime work = 0;
+  bool done = false;
+  tcpnet.Run([&]() {
+    begin = reactor.callback_start_us();
+    BusyWait(Micros(500));
+    work = reactor.now_us() - begin;
+    t0->RunCpu(
+        setup + scan,
+        [&]() {
+          const SimTime start = reactor.now_us();
+          BusyWait(Micros(500));
+          work += reactor.now_us() - start;
+          done = true;
+        },
+        "agent.execute", kFlow, {{"setup", setup}, {"scan", scan}});
+  });
+  ASSERT_TRUE(WaitUntil(&tcpnet, [&]() { return done; }));
+  // The query root covers the task, as the issuing node's would.
+  tcpnet.Run([&]() {
+    trace::Span root;
+    root.name = "query";
+    root.cat = "query";
+    root.ts = begin;
+    root.dur = reactor.now_us() - begin;
+    root.flow = kFlow;
+    recorder.RecordSpan(std::move(root));
+  });
+  tcpnet.Stop();
+
+  obs::CriticalPathReport report = obs::AnalyzeCriticalPaths(recorder);
+  ASSERT_EQ(report.queries.size(), 1u);
+  const obs::QueryBreakdown& q = report.queries[0];
+  EXPECT_EQ(q.ComponentSum(), q.total);
+  ASSERT_EQ(q.hops.size(), 1u);
+  EXPECT_EQ(q.hops[0].name, "agent.execute");
+  // The modelled 12 ms setup is not host time: no more of the measured
+  // span goes to agent overhead than the host spent working.
+  auto component = [&q](obs::PathComponent c) {
+    return q.components[static_cast<size_t>(c)];
+  };
+  EXPECT_LE(component(obs::PathComponent::kAgentOverhead), work);
+  EXPECT_GE(component(obs::PathComponent::kScan), work);
 }
 
 TEST(TraceTcpTest, UnsampledFlowsRecordNothing) {
