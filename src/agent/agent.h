@@ -121,6 +121,13 @@ class Agent {
   /// Runs at the current node. Report CPU via ctx.ChargeCpu and outputs
   /// via ctx.SendMessage; both are applied by the runtime.
   virtual Status Execute(AgentContext& ctx) = 0;
+
+  /// True when Execute touches nothing but `ctx` and
+  /// ctx.host()->storage() (whose calls lock the store), so the runtime
+  /// may run it off the node's event thread (net::Transport::Offload).
+  /// The default, false, keeps the execution inline: an agent that
+  /// reaches other host services or runs user code must not declare it.
+  virtual bool store_only() const { return false; }
 };
 
 }  // namespace bestpeer::agent

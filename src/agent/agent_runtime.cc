@@ -80,6 +80,17 @@ void AgentRuntime::Forward(const AgentMessage& msg, NodeId skip) {
   }
 }
 
+struct AgentRuntime::Execution {
+  Execution(std::unique_ptr<Agent> a, AgentContext c)
+      : agent(std::move(a)), ctx(std::move(c)) {}
+
+  std::unique_ptr<Agent> agent;
+  AgentContext ctx;
+  Status status;
+  /// ctx's sends, compressed; a send whose compression failed is dropped.
+  std::vector<AgentContext::Send> sends;
+};
+
 Status AgentRuntime::ExecuteIncoming(const AgentMessage& msg) {
   BP_ASSIGN_OR_RETURN(auto agent, registry_->Create(msg.class_name));
   BinaryReader reader(msg.state);
@@ -93,35 +104,62 @@ Status AgentRuntime::ExecuteIncoming(const AgentMessage& msg) {
   }
   reconstruct_us_c_->Add(static_cast<uint64_t>(setup));
 
-  AgentContext ctx(host_, node_, msg.origin, msg.hops, msg.ttl);
-  BP_RETURN_IF_ERROR(agent->Execute(ctx));
-  agents_executed_.Increment();
-  hops_at_execute_->Observe(static_cast<double>(msg.hops));
+  const bool store_only = agent->store_only();
+  auto run = std::make_shared<Execution>(
+      std::move(agent),
+      AgentContext(host_, node_, msg.origin, msg.hops, msg.ttl));
+  // The work touches only the execution and the node's store, so a
+  // store-only agent's work may run on another thread.
+  auto work = [run, codec = options_.codec]() {
+    run->status = run->agent->Execute(run->ctx);
+    if (!run->status.ok()) return;
+    for (AgentContext::Send& send : run->ctx.mutable_sends()) {
+      auto compressed = codec->Compress(send.payload);
+      if (!compressed.ok()) continue;
+      run->sends.push_back(
+          {send.dst, send.type, std::move(compressed).value()});
+    }
+  };
+  auto then = [this, run, setup, hops = msg.hops, flow = msg.agent_id]() {
+    FinishExecution(*run, setup, hops, flow);
+  };
+  if (store_only) {
+    transport_->Offload(std::move(work), std::move(then));
+  } else {
+    work();
+    then();
+  }
+  return Status::OK();
+}
 
-  SimTime total = setup + ctx.cpu_cost();
+void AgentRuntime::FinishExecution(Execution& run, SimTime setup,
+                                   uint16_t hops, FlowId flow) {
+  if (!run.status.ok()) {
+    BP_LOG(Warn) << "agent execution failed at node " << node_ << ": "
+                 << run.status.ToString();
+    return;
+  }
+  agents_executed_.Increment();
+  hops_at_execute_->Observe(static_cast<double>(hops));
+
+  SimTime total = setup + run.ctx.cpu_cost();
   // The setup/scan split lets the critical-path analyzer separate agent
   // overhead (reconstruct + class load) from useful store-scan time.
   std::vector<std::pair<std::string, uint64_t>> span_args;
   if (transport_->trace() != nullptr) {
     span_args.emplace_back("setup", static_cast<uint64_t>(setup));
-    span_args.emplace_back("scan", static_cast<uint64_t>(ctx.cpu_cost()));
+    span_args.emplace_back("scan", static_cast<uint64_t>(run.ctx.cpu_cost()));
   }
-  auto sends = std::move(ctx.mutable_sends());
-  auto codec = options_.codec;
   net::Transport* transport = transport_;
-  FlowId flow = msg.agent_id;
   transport_->RunCpu(
       total,
-      [transport, codec, flow, sends = std::move(sends)]() {
-        for (const auto& send : sends) {
-          auto compressed = codec->Compress(send.payload);
-          if (!compressed.ok()) continue;
-          transport->Send(send.dst, send.type,
-                          std::move(compressed).value(), 0, flow);
+      [transport, flow, sends = std::move(run.sends)]() mutable {
+        for (AgentContext::Send& send : sends) {
+          transport->Send(send.dst, send.type, std::move(send.payload), 0,
+                          flow);
         }
       },
       "agent.execute", flow, std::move(span_args));
-  return Status::OK();
 }
 
 Status AgentRuntime::Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
@@ -131,7 +169,7 @@ Status AgentRuntime::Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
                                       std::string(agent.class_name()));
   }
   code_cache_->Load(node_, agent.class_name());
-  seen_[agent_id] = transport_->clock().now();
+  Sight(agent_id);
   if (ttl == 0) return Status::OK();
 
   AgentMessage msg;
@@ -151,19 +189,34 @@ Status AgentRuntime::Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
   return Status::OK();
 }
 
+bool AgentRuntime::Sight(uint64_t agent_id) {
+  const SimTime now = transport_->clock().now();
+  auto it = seen_.find(agent_id);
+  if (it != seen_.end()) {
+    it->second->second = now;
+    seen_order_.splice(seen_order_.begin(), seen_order_, it->second);
+    return false;
+  }
+  seen_order_.emplace_front(agent_id, now);
+  seen_.emplace(agent_id, seen_order_.begin());
+  if (seen_order_.size() > kSeenCapacity) {
+    seen_.erase(seen_order_.back().first);
+    seen_order_.pop_back();
+  }
+  return true;
+}
+
 void AgentRuntime::PruneSeen() {
   if (options_.seen_expiry <= 0) return;
   const SimTime cutoff = transport_->clock().now() - options_.seen_expiry;
-  for (auto it = seen_.begin(); it != seen_.end();) {
-    if (it->second < cutoff) {
-      // A lost agent (dropped in flight, or died with a crashed host)
-      // never comes back to deregister itself — age its record out so
-      // the table stays bounded under churn and faults.
-      it = seen_.erase(it);
-      seen_expired_.Increment();
-    } else {
-      ++it;
-    }
+  // Sightings are newest first, so the expired ones are a tail.
+  while (!seen_order_.empty() && seen_order_.back().second < cutoff) {
+    // A lost agent (dropped in flight, or died with a crashed host)
+    // never comes back to deregister itself — age its record out so
+    // the table stays bounded under churn and faults.
+    seen_.erase(seen_order_.back().first);
+    seen_order_.pop_back();
+    seen_expired_.Increment();
   }
 }
 
@@ -176,10 +229,8 @@ Status AgentRuntime::OnMessage(const net::Message& msg) {
   agents_received_.Increment();
 
   PruneSeen();
-  auto [it, inserted] =
-      seen_.emplace(agent_msg.agent_id, transport_->clock().now());
-  if (!inserted) {
-    it->second = transport_->clock().now();  // Refresh: still circulating.
+  if (!Sight(agent_msg.agent_id)) {
+    // Still circulating: the sighting was refreshed.
     duplicates_dropped_.Increment();
     return Status::OK();
   }

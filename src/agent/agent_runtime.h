@@ -2,8 +2,10 @@
 #define BESTPEER_AGENT_AGENT_RUNTIME_H_
 
 #include <functional>
+#include <list>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "agent/agent.h"
@@ -23,8 +25,9 @@ constexpr uint32_t kAgentTransferType = 0x41474E54;  // "AGNT"
 struct AgentRuntimeOptions {
   /// How long the duplicate-drop table remembers an agent id after its
   /// last sighting. Lost agents (dropped in flight, died with their host)
-  /// never deregister, so without expiry the table grows forever under
-  /// churn. 0 = never forget (the original behaviour).
+  /// never deregister; expiry ages them out (counted in agent.expired).
+  /// 0 = no expiry: the table still keeps only the
+  /// AgentRuntime::kSeenCapacity most recently sighted ids.
   SimTime seen_expiry = 0;
   /// Transport codec applied to agent messages (the paper's GZIP layer).
   std::shared_ptr<const Codec> codec = std::make_shared<NullCodec>();
@@ -46,8 +49,20 @@ struct AgentRuntimeOptions {
 ///     paper's "overhead of reconstructing the agent at the peer site")
 ///     and executed on a fresh thread of the node's CPU; its queued
 ///     sends fire when the work completes.
+///
+/// The execution is two parts. Its *work* is the agent's Execute plus
+/// compressing its sends; its *continuation* bumps the counters and
+/// charges the cost through RunCpu, whose completion sends. A store-only
+/// agent (Agent::store_only) runs both through Transport::Offload, so over
+/// TCP the work runs on a worker while the reactor moves on; any other
+/// agent runs them inline, one after the other.
 class AgentRuntime {
  public:
+  /// Agent ids the duplicate-drop table keeps: the most recently sighted
+  /// ones. An older id is forgotten silently; a clone of it arriving after
+  /// this many newer agents would run again.
+  static constexpr size_t kSeenCapacity = 256;
+
   /// Returns the node's *current* direct overlay neighbours — evaluated at
   /// forward time, so self-reconfiguration is picked up immediately.
   using NeighborFn = std::function<std::vector<NodeId>()>;
@@ -91,11 +106,21 @@ class AgentRuntime {
   /// Clones `msg` to all neighbours except `skip` (TTL-1, Hops+1).
   void Forward(const AgentMessage& msg, NodeId skip);
 
-  /// Reconstructs and executes the agent carried by `msg`.
+  /// One agent execution: what its work hands its continuation.
+  struct Execution;
+
+  /// Reconstructs the agent carried by `msg` and runs its execution.
   Status ExecuteIncoming(const AgentMessage& msg);
+  /// The continuation: counters, then the cost and the sends via RunCpu.
+  void FinishExecution(Execution& run, SimTime setup, uint16_t hops,
+                       FlowId flow);
 
   /// Sends one agent message to `dst`, shipping class bytes if needed.
   Status SendAgentTo(NodeId dst, const AgentMessage& msg);
+
+  /// Records a sighting of `agent_id` now. True when it is new; false
+  /// for a duplicate, whose sighting is refreshed.
+  bool Sight(uint64_t agent_id);
 
   /// Drops duplicate-table entries unseen for options_.seen_expiry.
   void PruneSeen();
@@ -108,8 +133,11 @@ class AgentRuntime {
   NeighborFn neighbors_;
   AgentRuntimeOptions options_;
 
-  /// agent id -> when it was last sighted (for expiry).
-  std::unordered_map<uint64_t, SimTime> seen_;
+  /// The duplicate-drop table: (agent id, last sighting) newest first,
+  /// and each id's entry in that list.
+  using SeenList = std::list<std::pair<uint64_t, SimTime>>;
+  SeenList seen_order_;
+  std::unordered_map<uint64_t, SeenList::iterator> seen_;
   metrics::Counter agents_received_;
   metrics::Counter duplicates_dropped_;
   metrics::Counter agents_executed_;

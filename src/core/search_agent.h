@@ -38,6 +38,10 @@ class SearchAgent : public agent::Agent {
   void SaveState(BinaryWriter& writer) const override;
   Status LoadState(BinaryReader& reader) override;
   Status Execute(agent::AgentContext& ctx) override;
+  /// Without a cache probe the agent only scans (or index-searches) the
+  /// store and builds its reply, on either answer mode. A probe reaches
+  /// the result cache and OnAnswerServed, so it stays inline.
+  bool store_only() const override { return !cache_probe_; }
 
   uint64_t query_id() const { return query_id_; }
   const std::string& keyword() const { return keyword_; }

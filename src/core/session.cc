@@ -82,6 +82,12 @@ void SessionTable::Open(uint64_t query_id, std::string keyword,
   sessions_.emplace(query_id, QuerySession(query_id, std::move(keyword), mode,
                                            transport_->clock().now()));
   inflight_g_->Add(1);
+  if (sessions_.size() > kMaxSessions) {
+    // Ids grow with every query this node issues: the first is the oldest.
+    auto oldest = sessions_.begin();
+    if (!oldest->second.finalized()) inflight_g_->Add(-1);
+    sessions_.erase(oldest);
+  }
 }
 
 void SessionTable::ArmDeadline(uint64_t query_id) {

@@ -104,11 +104,16 @@ class QuerySession {
   bool finalized_ = false;
 };
 
-/// The queries one node issued, by id. Every result path finds its
-/// session through Live, so a result for an unknown query is ignored and
-/// one for a finalized query is dropped and counted as late.
+/// The queries one node issued, by id: the kMaxSessions newest. Every
+/// result path finds its session through Live, so a result for an unknown
+/// (never issued, or forgotten) query is ignored and one for a finalized
+/// query is dropped and counted as late.
 class SessionTable {
  public:
+  /// Sessions kept. Opening one more forgets the oldest, so a node that
+  /// serves queries for hours holds a bounded table.
+  static constexpr size_t kMaxSessions = 256;
+
   /// `finalize` closes a query when its `deadline` elapses (0 = never).
   SessionTable(net::Transport* transport, SimTime deadline,
                metrics::Registry* metrics,

@@ -157,6 +157,7 @@ void Reactor::DrainPosted() {
   }
   for (Fn& fn : batch) {
     callback_start_us_ = now_us();
+    callback_wait_us_ = 0;
     fn();
   }
 }
@@ -168,6 +169,7 @@ int Reactor::RunTimersAndTimeout() {
     Fn fn = std::move(const_cast<Timer&>(timers_.top()).fn);
     timers_.pop();
     callback_start_us_ = now;
+    callback_wait_us_ = 0;
     fn();
   }
   if (timers_.empty()) return 100;  // Idle tick; wakeup fd cuts it short.

@@ -65,7 +65,22 @@ class Reactor {
   /// are not stamped; one that needs the stamp marks its own start, as
   /// TcpTransport does for each frame it delivers. Reactor thread only.
   int64_t callback_start_us() const { return callback_start_us_; }
-  void MarkCallbackStart() { callback_start_us_ = now_us(); }
+  void MarkCallbackStart() {
+    callback_start_us_ = now_us();
+    callback_wait_us_ = 0;
+  }
+  /// Host µs of [callback_start_us(), now] the callback now running spent
+  /// waiting rather than working: 0, except in an offloaded continuation,
+  /// which resumes the callback that offloaded (ResumeCallback). Reactor
+  /// thread only.
+  int64_t callback_wait_us() const { return callback_wait_us_; }
+  /// Makes the running callback the continuation of one that began at
+  /// `start_us` and has since waited `wait_us` (for a worker, and for this
+  /// thread). Reactor thread only.
+  void ResumeCallback(int64_t start_us, int64_t wait_us) {
+    callback_start_us_ = start_us;
+    callback_wait_us_ = wait_us;
+  }
 
   /// Registers interest in `fd`. Reactor thread only.
   void AddFd(int fd, bool want_read, bool want_write, FdFn fn);
@@ -108,6 +123,7 @@ class Reactor {
       timers_;
   uint64_t timer_seq_ = 0;
   int64_t callback_start_us_ = 0;
+  int64_t callback_wait_us_ = 0;
 
   std::map<int, Watch> watches_;
 

@@ -26,6 +26,8 @@ void SetNoDelay(int fd) {
 // ---------------------------------------------------------------------------
 // TcpClock
 
+TcpClock::TcpClock(TcpNet* net) : net_(net), reactor_(&net->reactor()) {}
+
 void TcpClock::ScheduleAt(SimTime time, std::function<void()> fn) {
   if (reactor_->OnReactorThread()) {
     reactor_->AddTimerAt(time, std::move(fn));
@@ -46,6 +48,40 @@ void TcpClock::ScheduleAfter(SimTime delay, std::function<void()> fn) {
   reactor_->Post([r = reactor_, delay, fn = std::move(fn)]() mutable {
     r->AddTimerAt(r->now_us() + delay, std::move(fn));
   });
+}
+
+void TcpClock::Offload(NodeId node, std::function<void()> work,
+                       std::function<void()> then) {
+  if (!reactor_->OnReactorThread()) {
+    reactor_->Post([this, node, work = std::move(work),
+                    then = std::move(then)]() mutable {
+      Offload(node, std::move(work), std::move(then));
+    });
+    return;
+  }
+  if (net_->options().trace != nullptr) {
+    // A cpu span the continuation submits reaches back to the callback
+    // that offloaded (DESIGN.md §12): the worker's run counts as work, and
+    // the waits for a worker and for the reactor count as queue wait.
+    struct Stamps {
+      SimTime begin, waited, submit, start = 0, end = 0;
+    };
+    auto stamps = std::make_shared<Stamps>(
+        Stamps{reactor_->callback_start_us(), reactor_->callback_wait_us(),
+               reactor_->now_us()});
+    work = [r = reactor_, stamps, work = std::move(work)]() {
+      stamps->start = r->now_us();
+      work();
+      stamps->end = r->now_us();
+    };
+    then = [r = reactor_, stamps, then = std::move(then)]() {
+      r->ResumeCallback(stamps->begin,
+                        stamps->waited + (stamps->start - stamps->submit) +
+                            (r->callback_start_us() - stamps->end));
+      then();
+    };
+  }
+  net_->pool().Submit(node, std::move(work), std::move(then));
 }
 
 // ---------------------------------------------------------------------------
@@ -105,11 +141,13 @@ void TcpTransport::RunCpu(SimTime cost, std::function<void()> done,
   trace::TraceRecorder* recorder = net_->options().trace;
   if (recorder != nullptr && name != nullptr &&
       (flow != 0 ? recorder->Sampled(flow) : recorder->sample_all())) {
-    // The span measures host time on the reactor thread (DESIGN.md §12):
-    // the submitting callback up to the submit, plus `done` itself. The
+    // The span measures host time (DESIGN.md §12): the submitting callback
+    // up to the submit, less what it waited (an offloaded continuation
+    // waited for a worker and for the reactor), plus `done` itself. The
     // modelled figures ride along as model_* args.
     done = [this, recorder, cost, name, flow, submit,
-            begin = reactor.callback_start_us(), args = std::move(args),
+            begin = reactor.callback_start_us(),
+            waited = reactor.callback_wait_us(), args = std::move(args),
             done = std::move(done)]() mutable {
       Reactor& r = net_->reactor();
       const SimTime start = r.callback_start_us();
@@ -119,7 +157,7 @@ void TcpTransport::RunCpu(SimTime cost, std::function<void()> done,
       args.emplace_back("model_us", static_cast<uint64_t>(cost));
       // Like a simulated task, the span ends when `done` does and its
       // queue wait precedes it, reaching back to the submitting callback.
-      const SimTime dur = (submit - begin) + (end - start);
+      const SimTime dur = (submit - begin - waited) + (end - start);
       recorder->RecordSpan(trace::CpuSpan(name, node_, begin, end - dur, dur,
                                           flow, std::move(args)));
     };
@@ -515,7 +553,10 @@ void TcpTransport::Deliver(const FrameHeader& header, Bytes payload) {
 // TcpNet
 
 TcpNet::TcpNet(TcpOptions options)
-    : options_(options), clock_(&reactor_) {}
+    : options_(options),
+      pool_(StrandPool::DefaultWorkers(),
+            [this](StrandPool::Fn fn) { reactor_.Post(std::move(fn)); }),
+      clock_(this) {}
 
 TcpNet::~TcpNet() {
   Stop();
@@ -573,6 +614,7 @@ void TcpNet::Start() {
   if (started_) return;
   started_ = true;
   reactor_.Start();
+  pool_.Start();
   reactor_.Run([this]() {
     for (auto& node : nodes_) node->StartListening();
   });
@@ -580,6 +622,8 @@ void TcpNet::Start() {
 
 void TcpNet::Stop() {
   if (!started_) return;
+  // Workers first: no continuation reaches the reactor once sockets close.
+  pool_.Stop();
   reactor_.Run([this]() {
     for (auto& node : nodes_) node->CloseAll();
   });

@@ -12,6 +12,7 @@
 #include "net/backoff.h"
 #include "net/frame.h"
 #include "net/reactor.h"
+#include "net/strand_pool.h"
 #include "net/transport.h"
 #include "obs/flight_recorder.h"
 #include "util/metrics.h"
@@ -33,8 +34,10 @@ struct TcpOptions {
   /// LinkProfile reported by Transport::link(); the shipping cost model
   /// reads it, so keep it at the simulated LAN's parameters for parity.
   LinkProfile link;
-  /// Metrics sink (not owned; may be nullptr). Only touched on the
-  /// reactor thread — the PR-1 registry is not thread-safe.
+  /// Metrics sink (not owned; may be nullptr). Instruments are created
+  /// and snapshotted on the reactor thread; the one exception to it
+  /// writing them is a store's pool counters, bumped by a scan on a worker
+  /// (metrics::Counter's one-writer rule).
   metrics::Registry* metrics = nullptr;
   /// Flight recorder (not owned; may be nullptr). Send/deliver/drop
   /// events are recorded on the reactor thread only, so the ring stays
@@ -58,15 +61,18 @@ struct TcpOptions {
 };
 
 /// Transport over real loopback TCP sockets, one listening socket per
-/// node, multiplexed on ONE shared reactor thread. Because every
-/// delivery, timer and RunCpu completion fires on that single thread,
-/// protocol stacks keep the simulator's single-threaded execution model
-/// while the bytes travel through the kernel for real.
+/// node. Sockets, framing, timers and every protocol handler run on the
+/// fabric's one reactor thread, so protocol stacks keep the simulator's
+/// single-threaded execution model while the bytes travel through the
+/// kernel for real. The exception is the Offload hook's `work` (an
+/// agent's store scan): it runs on a small worker pool, on this node's
+/// strand, and its continuation comes back to the reactor.
 ///
 /// The CPU is real too. RunCpu does not emulate the modelled `cost`: the
-/// caller's work has already run on the reactor thread, so `done` only
-/// waits for its turn, and a sampled task's cpu span records the host
-/// time it measured, with `cost` beside it as the `model_us` arg.
+/// caller's work has already run, so `done` only waits for its turn, and
+/// a sampled task's cpu span records the host time it measured (an
+/// offloaded worker run included), with `cost` beside it as the
+/// `model_us` arg.
 ///
 /// Connections are dialed on demand (first Send to a peer), framed with
 /// net::Frame (64-byte header + payload), and redialed with exponential
@@ -163,22 +169,29 @@ class TcpTransport final : public Transport {
 };
 
 /// Clock over the shared reactor: real microseconds since TcpNet
-/// construction, timers on the reactor's timer heap.
+/// construction, timers on the reactor's timer heap, and offloaded work
+/// on the fabric's worker pool.
 class TcpClock final : public Clock {
  public:
-  explicit TcpClock(Reactor* reactor) : reactor_(reactor) {}
+  explicit TcpClock(TcpNet* net);
   SimTime now() const override { return reactor_->now_us(); }
   void ScheduleAt(SimTime time, std::function<void()> fn) override;
   void ScheduleAfter(SimTime delay, std::function<void()> fn) override;
+  /// `work` on a worker, on `node`'s strand; `then` posted to the reactor.
+  void Offload(NodeId node, std::function<void()> work,
+               std::function<void()> then) override;
 
  private:
+  TcpNet* net_;
   Reactor* reactor_;
 };
 
-/// The loopback fabric: owns the reactor thread, the NodeId -> port
-/// address book and the shared net.* metrics. Add every node before
-/// Start(); drive all post-Start interaction with protocol objects
-/// through Run() so it executes on the reactor thread.
+/// The loopback fabric: owns the reactor thread, the worker pool that
+/// runs offloaded work (StrandPool::DefaultWorkers() threads, one strand
+/// per node), the NodeId -> port address book and the shared net.*
+/// metrics. Add every node before Start(); drive all post-Start
+/// interaction with protocol objects through Run() so it executes on the
+/// reactor thread.
 class TcpNet {
  public:
   explicit TcpNet(TcpOptions options = {});
@@ -191,7 +204,9 @@ class TcpNet {
   Result<TcpTransport*> AddNode();
 
   void Start();
-  /// Closes every socket on the reactor thread, then joins it.
+  /// Stops the worker pool (work in flight finishes; queued work and every
+  /// continuation not yet posted are dropped), closes every socket on the
+  /// reactor thread, then joins it.
   void Stop();
 
   /// Runs `fn` on the reactor thread and waits — the safe way to touch
@@ -217,6 +232,7 @@ class TcpNet {
   size_t node_count() const { return nodes_.size(); }
   Reactor& reactor() { return reactor_; }
   TcpClock& clock() { return clock_; }
+  StrandPool& pool() { return pool_; }
   const TcpOptions& options() const { return options_; }
   metrics::Registry* metrics() const { return options_.metrics; }
 
@@ -225,6 +241,7 @@ class TcpNet {
 
   TcpOptions options_;
   Reactor reactor_;
+  StrandPool pool_;
   TcpClock clock_;
   std::vector<std::unique_ptr<TcpTransport>> nodes_;
   // Indexed by NodeId; atomics so main-thread SetOnline/IsOnline race

@@ -32,6 +32,10 @@ struct LinkProfile {
 /// simulator this is virtual time; over TCP it is the reactor's monotonic
 /// clock (microseconds). Timers fire on the same thread that delivers
 /// messages, so protocol state needs no locking in either backend.
+///
+/// The clock also carries the offload hook (Transport::Offload reaches it
+/// through clock(), so a transport that wraps another and forwards only
+/// clock() still offloads through the inner one).
 class Clock {
  public:
   virtual ~Clock() = default;
@@ -44,6 +48,20 @@ class Clock {
 
   /// Schedules `fn` `delay` microseconds from now; delay must be >= 0.
   virtual void ScheduleAfter(SimTime delay, std::function<void()> fn) = 0;
+
+  /// Runs `work` and then `then` for node `node`. `work` may touch only
+  /// its own captures and state that locks itself (an agent's context and
+  /// its node's store); `then` may touch any protocol state. The default
+  /// runs both inline, `work(); then();` — the simulator's path, so every
+  /// virtual-time output is unchanged. TcpClock runs `work` on a worker
+  /// thread, one node's works one at a time in submission order, and
+  /// posts `then` to the reactor thread.
+  virtual void Offload(NodeId node, std::function<void()> work,
+                       std::function<void()> then) {
+    (void)node;
+    work();
+    then();
+  }
 };
 
 /// A node's endpoint on some message-passing substrate. This interface
@@ -52,8 +70,10 @@ class Clock {
 /// deliver callback, CPU-cost accounting, timers, and peer liveness.
 ///
 /// Contract shared by all backends:
-///  - Single-threaded delivery: handlers, timers and RunCpu completions
-///    all fire on one logical thread, never concurrently.
+///  - Single-threaded delivery: handlers, timers, RunCpu completions and
+///    Offload continuations all fire on one logical thread, never
+///    concurrently. The one exception is an Offload `work`, which over
+///    TCP runs on a worker thread beside that logical thread.
 ///  - Send is fire-and-forget and may drop (offline peer, queue overflow,
 ///    injected fault); drops are counted, never reported to the caller —
 ///    protocols recover through their own timeout/retry machinery.
@@ -113,6 +133,12 @@ class Transport {
 
   /// The active flight recorder, or nullptr when disabled.
   virtual obs::FlightRecorder* flight() const { return nullptr; }
+
+  /// Runs `work` and then `then` through the clock's offload hook
+  /// (Clock::Offload) on this endpoint's behalf.
+  void Offload(std::function<void()> work, std::function<void()> then) {
+    clock().Offload(local(), std::move(work), std::move(then));
+  }
 
   /// Records `event` stamped with this endpoint's clock and address; a
   /// no-op when the flight recorder is disabled.

@@ -58,6 +58,33 @@ PathComponent ClassifyCpu(const std::string& name) {
   return PathComponent::kHandling;
 }
 
+bool HasArg(const trace::Span& span, std::string_view key) {
+  for (const auto& arg : span.args) {
+    if (arg.first == key) return true;
+  }
+  return false;
+}
+
+/// The measured cpu span at net span `net`'s sender that covers the send
+/// at `sent`, or nullptr (none, or the sender's spans are simulated).
+/// Over TCP a task's `done` sends before its span ends, so the latest span
+/// ending before the message left is not the one that sent it; of the
+/// sender's spans covering the send, the one ending first ran the send
+/// (their `done`s run one after another on one thread).
+const trace::Span* MeasuredSender(
+    const std::vector<const trace::Span*>& spans, const trace::Span& net,
+    SimTime sent) {
+  if (!HasArg(net, "src")) return nullptr;
+  const uint64_t src = ArgOf(net, "src");
+  const trace::Span* best = nullptr;
+  for (const trace::Span* s : spans) {
+    if (s->cat != "cpu" || s->tid != src || !HasArg(*s, "model_us")) continue;
+    if (s->ts > sent || s->ts + s->dur < sent) continue;
+    if (best == nullptr || s->ts + s->dur < best->ts + best->dur) best = s;
+  }
+  return best;
+}
+
 struct Walker {
   QueryBreakdown* out;
   SimTime t0;
@@ -185,6 +212,12 @@ CriticalPathReport AnalyzeCriticalPaths(const trace::TraceRecorder& trace,
       walker.Attribute(PathComponent::kOther, cur - end);
       const SimTime seg_start = std::max(s->ts, t0);
       cur = walker.Consume(*s, seg_start, end);
+      if (s->cat == "net" && cur > t0) {
+        // A measured sender's span is the previous link, up to the send.
+        if (const trace::Span* sender = MeasuredSender(spans, *s, cur)) {
+          cur = walker.Consume(*sender, std::max(sender->ts, t0), cur);
+        }
+      }
     }
     std::reverse(q.hops.begin(), q.hops.end());
     auto drop_it = drops_by_flow.find(q.flow);

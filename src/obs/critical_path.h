@@ -85,8 +85,10 @@ struct CriticalPathReport {
 /// chain of latest-ending net/cpu spans, and attributes every interval of
 /// [start, completion] to a PathComponent. Net spans split into uplink
 /// queue / wire / downlink queue via their up_wait/rx_wait args; cpu
-/// spans split off their qwait arg as CPU-queue time. `recorder`
-/// (optional) contributes per-flow drop counts.
+/// spans split off their qwait arg as CPU-queue time. From a net span
+/// whose sender's spans measure host time (TCP spans carry model_us), the
+/// walk follows `src` to the sender's span covering the send and takes it
+/// up to the send. `recorder` (optional) contributes per-flow drop counts.
 CriticalPathReport AnalyzeCriticalPaths(const trace::TraceRecorder& trace,
                                         const FlightRecorder* recorder = nullptr,
                                         size_t top_k = 5);

@@ -73,10 +73,18 @@ void Storm::BumpEpoch() {
   // served again; dropping them now keeps dead results from counting
   // toward query_cache_entries and evicting fresh entries.
   query_cache_.clear();
-  if (mutation_listener_) mutation_listener_(mutation_epoch_);
+}
+
+void Storm::NotifyMutation(std::unique_lock<std::mutex>& lock) {
+  const uint64_t epoch = mutation_epoch_;
+  // The node's fan-out (cache invalidation, summary refresh, gossip) may
+  // read the store again, so the listener runs unlocked.
+  lock.unlock();
+  if (mutation_listener_) mutation_listener_(epoch);
 }
 
 Status Storm::Put(ObjectId id, const Bytes& data) {
+  std::unique_lock<std::mutex> lock(mu_);
   if (objects_->Contains(id)) {
     return Status::AlreadyExists("object " + std::to_string(id));
   }
@@ -85,12 +93,17 @@ Status Storm::Put(ObjectId id, const Bytes& data) {
   BP_RETURN_IF_ERROR(objects_->Put(id, data));
   if (options_.build_index) index_.Add(id, ToString(data));
   BumpEpoch();
+  NotifyMutation(lock);
   return Status::OK();
 }
 
-Result<Bytes> Storm::Get(ObjectId id) { return objects_->Get(id); }
+Result<Bytes> Storm::Get(ObjectId id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return objects_->Get(id);
+}
 
 Status Storm::Delete(ObjectId id) {
+  std::unique_lock<std::mutex> lock(mu_);
   if (!objects_->Contains(id)) {
     return Status::NotFound("object " + std::to_string(id));
   }
@@ -98,10 +111,12 @@ Status Storm::Delete(ObjectId id) {
   index_.Remove(id);
   BP_RETURN_IF_ERROR(objects_->Delete(id));
   BumpEpoch();
+  NotifyMutation(lock);
   return Status::OK();
 }
 
 Status Storm::Update(ObjectId id, const Bytes& data) {
+  std::unique_lock<std::mutex> lock(mu_);
   if (!objects_->Contains(id)) {
     return Status::NotFound("object " + std::to_string(id));
   }
@@ -129,13 +144,50 @@ Status Storm::Update(ObjectId id, const Bytes& data) {
     // that did happen.
     index_.Remove(id);
     BumpEpoch();
+    NotifyMutation(lock);
     return put;
   }
   // Add() replaces the old postings of id wholesale, so the index never
   // keeps tokens from the previous content.
   if (options_.build_index) index_.Add(id, ToString(data));
   BumpEpoch();
+  NotifyMutation(lock);
   return Status::OK();
+}
+
+bool Storm::Contains(ObjectId id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return objects_->Contains(id);
+}
+
+uint64_t Storm::mutation_epoch() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return mutation_epoch_;
+}
+
+uint64_t Storm::query_cache_hits() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cache_hits_;
+}
+
+uint64_t Storm::query_cache_misses() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cache_misses_;
+}
+
+size_t Storm::query_cache_size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return query_cache_.size();
+}
+
+size_t Storm::object_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return objects_->object_count();
+}
+
+std::vector<ObjectId> Storm::ListIds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return objects_->ListIds();
 }
 
 Result<Storm::ScanResult> Storm::ScanSearch(std::string_view query) {
@@ -143,6 +195,7 @@ Result<Storm::ScanResult> Storm::ScanSearch(std::string_view query) {
   expr.Normalize();
   const std::string canonical = expr.ToString();
 
+  std::lock_guard<std::mutex> lock(mu_);
   if (options_.enable_query_cache) {
     auto it = query_cache_.find(canonical);
     if (it != query_cache_.end()) {
@@ -200,6 +253,7 @@ Result<std::vector<ObjectId>> Storm::IndexSearch(
   }
   BP_ASSIGN_OR_RETURN(QueryExpr expr, QueryExpr::Parse(query));
   expr.Normalize();  // Dedup terms so no posting list intersects twice.
+  std::lock_guard<std::mutex> lock(mu_);
   std::set<ObjectId> results;
   std::vector<ObjectId> acc;
   std::vector<ObjectId> merged;
@@ -235,10 +289,14 @@ Result<std::vector<ObjectId>> Storm::IndexSearch(
   return std::vector<ObjectId>(results.begin(), results.end());
 }
 
-Status Storm::Flush() { return pool_->FlushAll(); }
+Status Storm::Flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pool_->FlushAll();
+}
 
 Status Storm::Checkpoint() {
-  BP_RETURN_IF_ERROR(Flush());
+  std::lock_guard<std::mutex> lock(mu_);
+  BP_RETURN_IF_ERROR(pool_->FlushAll());
   if (wal_ != nullptr) BP_RETURN_IF_ERROR(wal_->Checkpoint());
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,6 +50,14 @@ struct StormOptions {
 /// 100% Java persistent storage manager"; here a C++ engine with the same
 /// role). Stores shared objects and serves the keyword searches issued by
 /// StorM agents.
+///
+/// Threading: the public calls below hold one mutex per store, so a scan
+/// on a TCP worker (DESIGN.md §8) and the reactor's fetches, replica
+/// pushes and shares of the same store take turns; each call sees the
+/// store between two whole mutations. The mutation listener runs after
+/// the unlock, so it may call back into the store. SetMutationListener,
+/// wal(), buffer_pool() and index() are not locked: they are for set-up
+/// and for the thread that makes the mutations.
 class Storm {
  public:
   /// Result of a full-scan keyword search.
@@ -84,7 +93,7 @@ class Storm {
   Status Update(ObjectId id, const Bytes& data);
 
   /// True iff the object exists.
-  bool Contains(ObjectId id) const { return objects_->Contains(id); }
+  bool Contains(ObjectId id) const;
 
   /// Full-scan search: examines every object's content against `query`,
   /// a QueryExpr ("a b OR c": whole-token, case-insensitive terms).
@@ -104,7 +113,7 @@ class Storm {
       std::string_view query, size_t* postings_touched = nullptr) const;
 
   /// Monotone counter bumped by every Put/Delete (cache validity token).
-  uint64_t mutation_epoch() const { return mutation_epoch_; }
+  uint64_t mutation_epoch() const;
 
   /// Invoked with the new epoch after every Put/Delete/Update bump (one
   /// fire per logical mutation — Update counts as a single mutation).
@@ -113,12 +122,12 @@ class Storm {
     mutation_listener_ = std::move(listener);
   }
 
-  /// Query-cache statistics.
-  uint64_t query_cache_hits() const { return cache_hits_; }
-  uint64_t query_cache_misses() const { return cache_misses_; }
+  /// Query-cache statistics (a scan writes them, so these lock too).
+  uint64_t query_cache_hits() const;
+  uint64_t query_cache_misses() const;
   /// Live query-cache entries. Stale-epoch entries are purged eagerly on
   /// every mutation, so this never counts unreachable results.
-  size_t query_cache_size() const { return query_cache_.size(); }
+  size_t query_cache_size() const;
 
   /// Writes all dirty state back to the pager.
   Status Flush();
@@ -130,17 +139,19 @@ class Storm {
   /// The WAL, if configured (for stats/tests).
   WriteAheadLog* wal() { return wal_.get(); }
 
-  size_t object_count() const { return objects_->object_count(); }
-  std::vector<ObjectId> ListIds() const { return objects_->ListIds(); }
+  size_t object_count() const;
+  std::vector<ObjectId> ListIds() const;
   BufferPool& buffer_pool() { return *pool_; }
   const KeywordIndex& index() const { return index_; }
 
  private:
   Storm() = default;
 
-  /// One logical mutation: bumps the epoch, drops the (now entirely
-  /// stale) query cache, and notifies the listener.
+  /// One logical mutation: bumps the epoch and drops the (now entirely
+  /// stale) query cache. Called with mu_ held.
   void BumpEpoch();
+  /// Releases `lock` and then tells the listener the epoch BumpEpoch set.
+  void NotifyMutation(std::unique_lock<std::mutex>& lock);
 
   struct CachedQuery {
     uint64_t epoch = 0;
@@ -148,6 +159,8 @@ class Storm {
     uint64_t last_used = 0;
   };
 
+  /// Serializes the public calls (see the class comment).
+  mutable std::mutex mu_;
   StormOptions options_;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;

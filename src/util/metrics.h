@@ -1,6 +1,7 @@
 #ifndef BESTPEER_UTIL_METRICS_H_
 #define BESTPEER_UTIL_METRICS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -26,14 +27,32 @@ using LabelSet = std::vector<std::pair<std::string, std::string>>;
 /// value() is the per-object count — and, when given a registry, points
 /// the counter's total at the registry's instrument, so the fleet-wide
 /// figure is fed by the same increment.
+///
+/// Threading: each counter has one writer at a time — the reactor thread,
+/// or the thread holding the node's store whose pool owns it (a scan on a
+/// TCP worker, DESIGN.md §8) — while any thread may read it. The value is
+/// a relaxed atomic updated by a load and a store, not a locked add: a
+/// reader (a registry snapshot for /metrics) never tears, and the add
+/// compiles to the same plain instructions as a bare integer.
 class Counter {
  public:
+  Counter() = default;
+  /// Copies the count and the total, as a plain integer member would (a
+  /// component held in a growing vector moves its counters).
+  Counter(const Counter& other) : value_(other.value()), total_(other.total_) {}
+  Counter& operator=(const Counter& other) {
+    value_.store(other.value(), std::memory_order_relaxed);
+    total_ = other.total_;
+    return *this;
+  }
+
   void Add(uint64_t delta) {
-    value_ += delta;
+    value_.store(value_.load(std::memory_order_relaxed) + delta,
+                 std::memory_order_relaxed);
     if (total_ != nullptr) total_->Add(delta);
   }
   void Increment() { Add(1); }
-  uint64_t value() const { return value_; }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
   /// Every later increment also lands on `total` (not owned; nullptr
   /// detaches). Increments made before the call are not forwarded.
@@ -45,7 +64,7 @@ class Counter {
   static Counter* Noop();
 
  private:
-  uint64_t value_ = 0;
+  std::atomic<uint64_t> value_{0};
   Counter* total_ = nullptr;
 };
 

@@ -288,6 +288,31 @@ TEST_F(AgentRuntimeTest, SeenTableExpiryForgetsOldAgents) {
   EXPECT_GE(runtimes_[1]->seen_expired() + runtimes_[2]->seen_expired(), 2u);
 }
 
+TEST_F(AgentRuntimeTest, SeenTableKeepsTheNewestSightings) {
+  // Node 0 sends more agents straight to node 1 (TTL 1: no onward
+  // clones) than node 1's duplicate table keeps.
+  const uint64_t n = AgentRuntime::kSeenCapacity + 10;
+  VisitAgent agent("t");
+  for (uint64_t id = 1; id <= n; ++id) {
+    ASSERT_TRUE(runtimes_[0]->Launch(id, agent, 1, {ids_[1]}).ok());
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(runtimes_[1]->agents_executed(), n);
+  EXPECT_EQ(runtimes_[1]->seen_size(), AgentRuntime::kSeenCapacity);
+  EXPECT_EQ(runtimes_[0]->seen_size(), AgentRuntime::kSeenCapacity);
+  // A clone of a retained agent is still a duplicate...
+  ASSERT_TRUE(runtimes_[0]->Launch(n, agent, 1, {ids_[1]}).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(runtimes_[1]->duplicates_dropped(), 1u);
+  EXPECT_EQ(runtimes_[1]->agents_executed(), n);
+  // ...while the oldest was forgotten, silently, and runs again.
+  ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 1, {ids_[1]}).ok());
+  sim_.RunUntilIdle();
+  EXPECT_EQ(runtimes_[1]->agents_executed(), n + 1);
+  EXPECT_EQ(runtimes_[1]->seen_expired(), 0u);
+  EXPECT_EQ(runtimes_[1]->seen_size(), AgentRuntime::kSeenCapacity);
+}
+
 TEST_F(AgentRuntimeTest, CodeShippedOnlyOnFirstVisit) {
   VisitAgent agent("a");
   ASSERT_TRUE(runtimes_[0]->Launch(1, agent, 10, neighbors_[0]).ok());

@@ -72,6 +72,29 @@ TEST_F(CoreNodeFixture, SearchFindsRemoteMatches) {
   EXPECT_GT(session->completion_time(), 0);
 }
 
+TEST_F(CoreNodeFixture, SessionTableKeepsTheNewestQueries) {
+  Build(2, {{0, 1}});
+  Fill(1, 4, 1);
+  constexpr size_t kForgotten = 4;
+  std::vector<uint64_t> ids;
+  for (size_t q = 0; q < SessionTable::kMaxSessions + kForgotten; ++q) {
+    ids.push_back(nodes_[0]->IssueSearch("needle").value());
+  }
+  sim_.RunUntilIdle();
+  // The oldest sessions were forgotten before their results came back, so
+  // those results were ignored as unknown (not counted as late).
+  for (size_t q = 0; q < kForgotten; ++q) {
+    EXPECT_EQ(nodes_[0]->FindSession(ids[q]), nullptr);
+  }
+  for (size_t q = kForgotten; q < ids.size(); ++q) {
+    const QuerySession* session = nodes_[0]->FindSession(ids[q]);
+    ASSERT_NE(session, nullptr);
+    EXPECT_EQ(session->total_answers(), 1u);
+  }
+  EXPECT_EQ(nodes_[0]->sessions().inflight(), SessionTable::kMaxSessions);
+  EXPECT_EQ(nodes_[0]->sessions().late_results(), 0u);
+}
+
 TEST_F(CoreNodeFixture, NoMatchesMeansNoResponses) {
   Build(2, {{0, 1}});
   Fill(1, 10, 0);

@@ -4,7 +4,9 @@
 // both must achieve identical, full recall on the keyword workload. A
 // table of fleet sizes and seeds (each seed draws the stores and LIGLO's
 // starter peers) keeps answers independent of modelled delays, which
-// only the simulator charges.
+// only the simulator charges. One row has two issuers whose queries are
+// in flight at once, so over TCP their agents' scans share the worker
+// pool.
 
 #include <atomic>
 #include <chrono>
@@ -33,10 +35,12 @@ constexpr size_t kObjectsPerNode = 16;
 constexpr size_t kMatchesPerNode = 2;
 constexpr size_t kQueries = 3;
 
-/// One row of the parity table.
+/// One row of the parity table. Nodes 0 .. issuers-1 issue each round's
+/// queries together and hold no matches.
 struct Shape {
   size_t nodes;
   uint64_t seed;
+  size_t issuers = 1;
 };
 
 core::BestPeerConfig MakeConfig(const Shape& shape) {
@@ -54,12 +58,13 @@ liglo::LigloServerOptions MakeServerOptions(const Shape& shape) {
   return options;
 }
 
-/// Shares the experiment corpus into node `i` (matches only off-base).
-void Populate(core::BestPeerNode* node, size_t i,
+/// Shares the experiment corpus into node `i` (matches only off the
+/// issuers).
+void Populate(core::BestPeerNode* node, size_t i, const Shape& shape,
               workload::CorpusGenerator& corpus) {
   ASSERT_TRUE(node->InitStorage({}).ok());
   for (size_t o = 0; o < kObjectsPerNode; ++o) {
-    bool match = i != 0 && o < kMatchesPerNode;
+    bool match = i >= shape.issuers && o < kMatchesPerNode;
     ASSERT_TRUE(node->ShareObject((static_cast<uint64_t>(i) << 24) | o,
                                   corpus.MakeObject(match))
                     .ok());
@@ -84,7 +89,7 @@ std::vector<size_t> RunSimulated(const Shape& shape) {
   for (size_t i = 0; i < shape.nodes; ++i) {
     auto node = core::BestPeerNode::Create(fleet.AddNode(), &infra,
                                            MakeConfig(shape));
-    Populate(node.value().get(), i, corpus);
+    Populate(node.value().get(), i, shape, corpus);
     infra.code_cache.Load(node.value()->node(), core::kSearchAgentClass);
     nodes.push_back(std::move(*node));
   }
@@ -96,17 +101,22 @@ std::vector<size_t> RunSimulated(const Shape& shape) {
 
   std::vector<size_t> answers;
   for (size_t q = 0; q < kQueries; ++q) {
-    uint64_t query_id =
-        nodes[0]->IssueSearch(workload::CorpusGenerator::kNeedle).value();
+    std::vector<uint64_t> query_ids;
+    for (size_t i = 0; i < shape.issuers; ++i) {
+      query_ids.push_back(
+          nodes[i]->IssueSearch(workload::CorpusGenerator::kNeedle).value());
+    }
     simulator.RunUntilIdle();
-    const core::QuerySession* session = nodes[0]->FindSession(query_id);
-    answers.push_back(session == nullptr ? 0 : session->total_answers());
+    for (size_t i = 0; i < shape.issuers; ++i) {
+      const core::QuerySession* session = nodes[i]->FindSession(query_ids[i]);
+      answers.push_back(session == nullptr ? 0 : session->total_answers());
+    }
   }
   return answers;
 }
 
-/// The same configuration over real loopback TCP sockets. Each query is
-/// read once it has `expected` answers, or after 30 s.
+/// The same configuration over real loopback TCP sockets. Each round's
+/// queries are read once each has `expected` answers, or after 30 s.
 std::vector<size_t> RunOverTcp(const Shape& shape, size_t expected) {
   net::TcpNet tcpnet;
   core::SharedInfra infra;
@@ -122,7 +132,7 @@ std::vector<size_t> RunOverTcp(const Shape& shape, size_t expected) {
   for (size_t i = 0; i < shape.nodes; ++i) {
     auto node = core::BestPeerNode::Create(tcpnet.AddNode().value(), &infra,
                                            MakeConfig(shape));
-    Populate(node.value().get(), i, corpus);
+    Populate(node.value().get(), i, shape, corpus);
     infra.code_cache.Load(node.value()->node(), core::kSearchAgentClass);
     nodes.push_back(std::move(*node));
   }
@@ -152,21 +162,28 @@ std::vector<size_t> RunOverTcp(const Shape& shape, size_t expected) {
 
   std::vector<size_t> answers;
   for (size_t q = 0; q < kQueries; ++q) {
-    uint64_t query_id = 0;
+    std::vector<uint64_t> query_ids;
     tcpnet.Run([&]() {
-      query_id =
-          nodes[0]->IssueSearch(workload::CorpusGenerator::kNeedle).value();
+      for (size_t i = 0; i < shape.issuers; ++i) {
+        query_ids.push_back(
+            nodes[i]->IssueSearch(workload::CorpusGenerator::kNeedle).value());
+      }
     });
+    auto answers_of = [&](size_t i) -> size_t {
+      const core::QuerySession* s = nodes[i]->FindSession(query_ids[i]);
+      return s == nullptr ? 0 : s->total_answers();
+    };
     wait_until([&]() {
-      const core::QuerySession* s = nodes[0]->FindSession(query_id);
-      return s != nullptr && s->total_answers() >= expected;
+      for (size_t i = 0; i < shape.issuers; ++i) {
+        if (answers_of(i) < expected) return false;
+      }
+      return true;
     });
-    size_t got = 0;
     tcpnet.Run([&]() {
-      const core::QuerySession* s = nodes[0]->FindSession(query_id);
-      if (s != nullptr) got = s->total_answers();
+      for (size_t i = 0; i < shape.issuers; ++i) {
+        answers.push_back(answers_of(i));
+      }
     });
-    answers.push_back(got);
   }
   tcpnet.Stop();
   return answers;
@@ -176,9 +193,9 @@ class NetLoopbackTest : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(NetLoopbackTest, TcpAnswersMatchSimulated) {
   const Shape& shape = GetParam();
-  const size_t expected = (shape.nodes - 1) * kMatchesPerNode;
+  const size_t expected = (shape.nodes - shape.issuers) * kMatchesPerNode;
   std::vector<size_t> sim_answers = RunSimulated(shape);
-  ASSERT_EQ(sim_answers.size(), kQueries);
+  ASSERT_EQ(sim_answers.size(), kQueries * shape.issuers);
   for (size_t a : sim_answers) EXPECT_EQ(a, expected);
 
   std::vector<size_t> tcp_answers = RunOverTcp(shape, expected);
@@ -188,10 +205,14 @@ TEST_P(NetLoopbackTest, TcpAnswersMatchSimulated) {
 INSTANTIATE_TEST_SUITE_P(
     Fleets, NetLoopbackTest,
     ::testing::Values(Shape{4, 7}, Shape{4, 11}, Shape{8, 7}, Shape{8, 11},
-                      Shape{16, 7}, Shape{16, 11}),
+                      Shape{16, 7}, Shape{16, 11}, Shape{16, 7, 2}),
     [](const ::testing::TestParamInfo<Shape>& info) {
-      return "n" + std::to_string(info.param.nodes) + "_seed" +
-             std::to_string(info.param.seed);
+      std::string name = "n" + std::to_string(info.param.nodes) + "_seed" +
+                         std::to_string(info.param.seed);
+      if (info.param.issuers > 1) {
+        name += "_issuers" + std::to_string(info.param.issuers);
+      }
+      return name;
     });
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -9,11 +11,39 @@
 #include "net/backoff.h"
 #include "net/frame.h"
 #include "net/reactor.h"
+#include "net/strand_pool.h"
 #include "net/tcp_transport.h"
 #include "util/metrics.h"
 
 namespace bestpeer::net {
 namespace {
+
+/// A one-shot flag another thread can wait on, with a timeout.
+class Latch {
+ public:
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  bool WaitFor(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this]() { return released_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+/// Spins until `flag` holds or about 5 s pass.
+bool SpinUntil(const std::atomic<bool>& flag) {
+  for (int spin = 0; spin < 5000 && !flag.load(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return flag.load();
+}
 
 Bytes SamplePayload(size_t n) {
   Bytes payload(n);
@@ -363,6 +393,140 @@ TEST(TcpTransportTest, RunCpuSerializesPerNode) {
   EXPECT_FALSE(ran_inside_submit);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(TcpOffloadTest, TwoNodesWorksRunAtTheSameTime) {
+  if (StrandPool::DefaultWorkers() < 2) {
+    GTEST_SKIP() << "one worker on a one-core host";
+  }
+  TcpNet net;
+  TcpTransport* a = net.AddNode().value();
+  TcpTransport* b = net.AddNode().value();
+  net.Start();
+  // Each work releases its own latch and waits for the other's: run one
+  // after the other, the first would time out.
+  Latch a_running, b_running;
+  std::atomic<bool> a_saw_b{false}, b_saw_a{false}, done_a{false},
+      done_b{false};
+  net.Run([&]() {
+    a->Offload(
+        [&]() {
+          a_running.Release();
+          a_saw_b.store(b_running.WaitFor(std::chrono::seconds(5)));
+        },
+        [&]() { done_a.store(true); });
+    b->Offload(
+        [&]() {
+          b_running.Release();
+          b_saw_a.store(a_running.WaitFor(std::chrono::seconds(5)));
+        },
+        [&]() { done_b.store(true); });
+  });
+  EXPECT_TRUE(SpinUntil(done_a));
+  EXPECT_TRUE(SpinUntil(done_b));
+  net.Stop();
+  EXPECT_TRUE(a_saw_b.load());
+  EXPECT_TRUE(b_saw_a.load());
+}
+
+TEST(TcpOffloadTest, OneNodesWorksNeverOverlapAndKeepSubmissionOrder) {
+  TcpNet net;
+  TcpTransport* a = net.AddNode().value();
+  net.Start();
+  constexpr int kWorks = 40;
+  std::atomic<int> running{0};
+  std::atomic<bool> overlapped{false};
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<int> continued;
+  std::atomic<bool> all_done{false};
+  net.Run([&]() {
+    for (int i = 0; i < kWorks; ++i) {
+      a->Offload(
+          [&, i]() {
+            if (running.fetch_add(1) != 0) overlapped.store(true);
+            const auto until =
+                std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            {
+              std::lock_guard<std::mutex> lock(mu);
+              order.push_back(i);
+            }
+            running.fetch_sub(1);
+          },
+          [&, i]() {
+            continued.push_back(i);
+            if (i == kWorks - 1) all_done.store(true);
+          });
+    }
+  });
+  EXPECT_TRUE(SpinUntil(all_done));
+  net.Stop();
+  EXPECT_FALSE(overlapped.load());
+  std::vector<int> expected(kWorks);
+  for (int i = 0; i < kWorks; ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(continued, expected);
+}
+
+TEST(TcpOffloadTest, ContinuationRunsOnTheReactorAfterItsWork) {
+  TcpNet net;
+  TcpTransport* a = net.AddNode().value();
+  net.Start();
+  std::atomic<bool> work_done{false};
+  std::atomic<bool> work_on_reactor{true};
+  std::atomic<bool> then_on_reactor{false};
+  std::atomic<bool> then_after_work{false};
+  std::atomic<bool> finished{false};
+  net.Run([&]() {
+    a->Offload(
+        [&]() {
+          work_on_reactor.store(net.reactor().OnReactorThread());
+          work_done.store(true);
+        },
+        [&]() {
+          then_on_reactor.store(net.reactor().OnReactorThread());
+          then_after_work.store(work_done.load());
+          finished.store(true);
+        });
+  });
+  EXPECT_TRUE(SpinUntil(finished));
+  net.Stop();
+  EXPECT_FALSE(work_on_reactor.load());
+  EXPECT_TRUE(then_on_reactor.load());
+  EXPECT_TRUE(then_after_work.load());
+}
+
+TEST(TcpOffloadTest, StopDropsQueuedWorkAndRunsNoContinuationAfter) {
+  TcpNet net;
+  TcpTransport* a = net.AddNode().value();
+  net.Start();
+  std::atomic<bool> first_started{false};
+  std::atomic<bool> first_finished{false};
+  std::atomic<int> works{0};
+  std::atomic<int> continuations{0};
+  net.Run([&]() {
+    a->Offload(
+        [&]() {
+          first_started.store(true);
+          ++works;
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          first_finished.store(true);
+        },
+        [&]() { ++continuations; });
+    for (int i = 0; i < 5; ++i) {
+      a->Offload([&]() { ++works; }, [&]() { ++continuations; });
+    }
+  });
+  ASSERT_TRUE(SpinUntil(first_started));
+  net.Stop();  // The first work is in flight; five are queued behind it.
+  const int after_stop = continuations.load();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(first_finished.load());
+  EXPECT_EQ(works.load(), 1);
+  EXPECT_LE(after_stop, 1);
+  EXPECT_EQ(continuations.load(), after_stop);
 }
 
 TEST(TcpTransportTest, ClockTimersFire) {

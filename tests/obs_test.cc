@@ -332,6 +332,65 @@ TEST(CriticalPathTest, ComponentsSumToEndToEndLatency) {
   EXPECT_NEAR(share, 1.0, 1e-6);
 }
 
+/// A span of flow 1 for the TCP-shaped trace below.
+trace::Span FlowSpan(const char* name, const char* cat, uint32_t node,
+                     SimTime ts, SimTime dur,
+                     std::vector<std::pair<std::string, uint64_t>> args) {
+  trace::Span span;
+  span.name = name;
+  span.cat = cat;
+  span.tid = node;
+  span.ts = ts;
+  span.dur = dur;
+  span.flow = 1;
+  span.args = std::move(args);
+  return span;
+}
+
+TEST(CriticalPathTest, TcpWalkFollowsTheSenderOfEachMessage) {
+  // One query over TCP, as the reactor records it: node 1 receives the
+  // agent at 200 and offloads its scan; a forward task sends the clone on
+  // (done by 1350) and the execution's done sends the result at 1450,
+  // then ends at 1500. Measured cpu spans carry model_us, and their qwait
+  // reaches back to the delivery.
+  trace::TraceRecorder recorder;
+  recorder.RecordSpan(FlowSpan("query", "query", 0, 0, 1700, {}));
+  recorder.RecordSpan(FlowSpan("agent.migrate", "net", 1, 100, 100,
+                               {{"src", 0}, {"dst", 1}, {"wire", 300}}));
+  recorder.RecordSpan(FlowSpan("agent.forward", "cpu", 1, 1300, 50,
+                               {{"model_us", 300}, {"qwait", 1100}}));
+  recorder.RecordSpan(FlowSpan(
+      "agent.execute", "cpu", 1, 300, 1200,
+      {{"model_setup", 4000}, {"model_scan", 15000}, {"model_us", 19000},
+       {"qwait", 100}}));
+  recorder.RecordSpan(FlowSpan("search.result", "net", 0, 1450, 150,
+                               {{"src", 1}, {"dst", 0}, {"wire", 200}}));
+  recorder.RecordSpan(FlowSpan("result.handle", "cpu", 0, 1600, 100,
+                               {{"model_us", 200}}));
+
+  obs::CriticalPathReport report = obs::AnalyzeCriticalPaths(recorder);
+  ASSERT_EQ(report.queries.size(), 1u);
+  const obs::QueryBreakdown& q = report.queries[0];
+  EXPECT_EQ(q.ComponentSum(), q.total);
+  auto component = [&q](obs::PathComponent c) {
+    return q.components[static_cast<size_t>(c)];
+  };
+  // The result's sender is the execution, up to its send: 300..1450 is
+  // scan and its 100 µs wait for a worker is queue wait. The forward that
+  // ended just before the send is not on the path.
+  EXPECT_EQ(component(obs::PathComponent::kScan), 1150);
+  EXPECT_EQ(component(obs::PathComponent::kCpuQueue), 100);
+  EXPECT_EQ(component(obs::PathComponent::kAgentOverhead), 0);
+  EXPECT_EQ(component(obs::PathComponent::kWire), 250);
+  EXPECT_EQ(component(obs::PathComponent::kHandling), 100);
+  EXPECT_EQ(component(obs::PathComponent::kOther), 100);
+  std::vector<std::string> names;
+  for (const obs::PathHop& hop : q.hops) names.push_back(hop.name);
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"agent.migrate", "agent.execute",
+                                      "search.result", "result.handle"}));
+}
+
 TEST(CriticalPathTest, EmptyTraceYieldsEmptyReport) {
   trace::TraceRecorder recorder;
   obs::CriticalPathReport report = obs::AnalyzeCriticalPaths(recorder);

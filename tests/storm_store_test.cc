@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -476,6 +479,71 @@ TEST(StormTest, ScanFetchesOnePagePerChunkRecord) {
   // One fetch per chunk record, in id order: each page misses once.
   EXPECT_EQ(pool.hits() + pool.misses() - accesses, 1000u);
   EXPECT_EQ(pool.misses() - misses, pages);
+}
+
+TEST(StormTest, ScansStayConsistentWhileAnotherThreadMutates) {
+  // Ids [0, 64) always exist and always match; ids [1000, 1064) come and
+  // go with content that never matches. A scan on one thread, while the
+  // other puts, gets, updates and deletes, must see exactly the stable set
+  // (the store serializes its calls, so each scan sees it whole).
+  constexpr ObjectId kStable = 64;
+  constexpr ObjectId kChurnBase = 1000;
+  StormOptions options;
+  options.buffer_frames = 8;  // Scans evict, so the pool is written too.
+  auto storm = Storm::Open(options).value();
+  auto padded = [](const std::string& text) {
+    Bytes b = Content(text);
+    b.resize(700, ' ');
+    return b;
+  };
+  for (ObjectId id = 0; id < kStable; ++id) {
+    ASSERT_TRUE(storm->Put(id, padded("a needle in " + std::to_string(id))).ok());
+  }
+  std::atomic<bool> done{false};
+  std::atomic<int> mutator_errors{0};
+  std::thread mutator([&]() {
+    Rng rng(7);
+    for (int round = 0; round < 400; ++round) {
+      const ObjectId churn = kChurnBase + rng.NextBounded(kStable);
+      const ObjectId stable = rng.NextBounded(kStable);
+      if (!storm->Contains(churn)) {
+        if (!storm->Put(churn, padded("hay " + std::to_string(round))).ok()) {
+          ++mutator_errors;
+        }
+      } else if (round % 3 == 0) {
+        if (!storm->Delete(churn).ok()) ++mutator_errors;
+      } else if (!storm->Update(churn, padded("straw " + std::to_string(round)))
+                      .ok()) {
+        ++mutator_errors;
+      }
+      // Matching content stays matching through an update.
+      if (!storm->Update(stable, padded("needle again " + std::to_string(round)))
+               .ok() ||
+          !storm->Get(stable).ok()) {
+        ++mutator_errors;
+      }
+    }
+    done.store(true);
+  });
+  std::vector<ObjectId> expected(kStable);
+  for (ObjectId id = 0; id < kStable; ++id) expected[id] = id;
+  int scans = 0;
+  int inconsistent = 0;
+  while (!done.load() || scans == 0) {
+    auto result = storm->ScanSearch("needle");
+    ASSERT_TRUE(result.ok());
+    std::vector<ObjectId> matches = result.value().matches;
+    std::sort(matches.begin(), matches.end());
+    if (matches != expected || result.value().objects_scanned < kStable ||
+        result.value().objects_scanned > 2 * kStable) {
+      ++inconsistent;
+    }
+    ++scans;
+  }
+  mutator.join();
+  EXPECT_EQ(inconsistent, 0) << "of " << scans << " scans";
+  EXPECT_EQ(mutator_errors.load(), 0);
+  EXPECT_EQ(storm->ScanSearch("needle").value().matches.size(), kStable);
 }
 
 }  // namespace

@@ -208,6 +208,48 @@ TEST(TraceTcpTest, ExplainTakesMeasuredAgentExecuteAsHostTime) {
   EXPECT_GE(component(obs::PathComponent::kScan), work);
 }
 
+TEST(TraceTcpTest, OffloadedExecuteSpanMeasuresTheWorkersRun) {
+  trace::TraceRecorder recorder({.ring_capacity = 64, .sample_rate = 1.0});
+  net::TcpOptions options;
+  options.trace = &recorder;
+  net::TcpNet tcpnet(options);
+  net::TcpTransport* t0 = tcpnet.AddNode().value();
+  tcpnet.Start();
+
+  // The agent runtime's shape: the delivery offloads the scan, and the
+  // continuation submits the execution's cost.
+  constexpr FlowId kFlow = 9;
+  std::atomic<bool> done{false};
+  const SimTime before = tcpnet.reactor().now_us();
+  tcpnet.Run([&]() {
+    t0->Offload([]() { BusyWait(Millis(2)); },
+                [&]() {
+                  t0->RunCpu(
+                      Millis(19), [&]() { done.store(true); },
+                      "agent.execute", kFlow,
+                      {{"setup", Millis(4)}, {"scan", Millis(15)}});
+                });
+  });
+  ASSERT_TRUE(WaitUntil(&tcpnet, [&]() { return done.load(); }));
+  const SimTime after = tcpnet.reactor().now_us();
+  std::vector<trace::Span> spans;
+  tcpnet.Run([&]() { spans = recorder.Spans(); });
+  tcpnet.Stop();
+
+  const trace::Span* cpu = nullptr;
+  for (const trace::Span& s : spans) {
+    if (s.cat == "cpu" && s.name == "agent.execute") cpu = &s;
+  }
+  ASSERT_NE(cpu, nullptr);
+  // The worker's 2 ms are work; the waits for a worker and for the reactor
+  // are queue wait, and the whole span stays inside the wall interval.
+  EXPECT_GE(cpu->dur, Millis(2));
+  const SimTime qwait = static_cast<SimTime>(ArgOf(*cpu, "qwait").value_or(0));
+  EXPECT_GE(cpu->ts - qwait, before);
+  EXPECT_LE(cpu->ts + cpu->dur, after);
+  EXPECT_EQ(ArgOf(*cpu, "model_us"), static_cast<uint64_t>(Millis(19)));
+}
+
 TEST(TraceTcpTest, UnsampledFlowsRecordNothing) {
   trace::TraceRecorder recorder({.ring_capacity = 64, .sample_rate = 0.0});
   net::TcpOptions options;
