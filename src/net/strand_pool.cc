@@ -1,7 +1,10 @@
 #include "net/strand_pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
+
+#include "util/logging.h"
 
 namespace bestpeer::net {
 
@@ -71,11 +74,19 @@ void StrandPool::WorkerLoop() {
     Task task = std::move(strand.tasks.front());
     strand.tasks.pop_front();
     lock.unlock();
-    task.work();
+    bool ok = true;
+    try {
+      task.work();
+    } catch (const std::exception& e) {
+      // An exception leaving the worker would end the process; the work
+      // failed, so its continuation must not run either.
+      BP_LOG(Error) << "offloaded work failed: " << e.what();
+      ok = false;
+    }
     task.work = nullptr;
     lock.lock();
     // Posting under the lock orders every continuation before Stop's.
-    if (!stopping_) post_(std::move(task.then));
+    if (ok && !stopping_) post_(std::move(task.then));
     if (!strand.tasks.empty()) {
       ready_.push_back(key);
       cv_.notify_one();

@@ -18,7 +18,8 @@ namespace bestpeer::net {
 ///  - the works of one strand run one at a time, in submission order;
 ///    works of different strands run in parallel;
 ///  - once a work returns on its worker, its `then` is handed to `post`
-///    (TcpNet passes Reactor::Post, so continuations run on the reactor).
+///    (TcpNet passes Reactor::Post, so continuations run on the reactor);
+///    a work that throws is logged and its `then` dropped.
 ///
 /// Thread-safe. A strand that has just run a task goes to the back of the
 /// ready queue, so a busy node cannot starve the others.
@@ -46,8 +47,6 @@ class StrandPool {
   /// Queues `work` on `strand`. Callable before Start (it runs once the
   /// workers do); dropped after Stop.
   void Submit(uint64_t strand, Fn work, Fn then);
-
-  size_t workers() const { return workers_; }
 
  private:
   struct Task {

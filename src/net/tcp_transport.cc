@@ -64,7 +64,7 @@ void TcpClock::Offload(NodeId node, std::function<void()> work,
     // that offloaded (DESIGN.md §12): the worker's run counts as work, and
     // the waits for a worker and for the reactor count as queue wait.
     struct Stamps {
-      SimTime begin, waited, submit, start = 0, end = 0;
+      SimTime begin = 0, waited = 0, submit = 0, start = 0, end = 0;
     };
     auto stamps = std::make_shared<Stamps>(
         Stamps{reactor_->callback_start_us(), reactor_->callback_wait_us(),

@@ -35,9 +35,9 @@ struct TcpOptions {
   /// reads it, so keep it at the simulated LAN's parameters for parity.
   LinkProfile link;
   /// Metrics sink (not owned; may be nullptr). Instruments are created
-  /// and snapshotted on the reactor thread; the one exception to it
-  /// writing them is a store's pool counters, bumped by a scan on a worker
-  /// (metrics::Counter's one-writer rule).
+  /// and snapshotted on the reactor thread, which also makes every
+  /// increment except a store's pool counters: a scan on a worker bumps
+  /// those (metrics::Counter's one-writer rule).
   metrics::Registry* metrics = nullptr;
   /// Flight recorder (not owned; may be nullptr). Send/deliver/drop
   /// events are recorded on the reactor thread only, so the ring stays

@@ -67,16 +67,12 @@ Result<std::unique_ptr<Storm>> Storm::Open(const StormOptions& options) {
   return storm;
 }
 
-void Storm::BumpEpoch() {
-  ++mutation_epoch_;
+void Storm::BumpEpoch(std::unique_lock<std::mutex>& lock) {
+  const uint64_t epoch = ++mutation_epoch_;
   // Every cached entry was computed at an older epoch and can never be
   // served again; dropping them now keeps dead results from counting
   // toward query_cache_entries and evicting fresh entries.
   query_cache_.clear();
-}
-
-void Storm::NotifyMutation(std::unique_lock<std::mutex>& lock) {
-  const uint64_t epoch = mutation_epoch_;
   // The node's fan-out (cache invalidation, summary refresh, gossip) may
   // read the store again, so the listener runs unlocked.
   lock.unlock();
@@ -92,8 +88,7 @@ Status Storm::Put(ObjectId id, const Bytes& data) {
   if (wal_ != nullptr) BP_RETURN_IF_ERROR(wal_->AppendPut(id, data));
   BP_RETURN_IF_ERROR(objects_->Put(id, data));
   if (options_.build_index) index_.Add(id, ToString(data));
-  BumpEpoch();
-  NotifyMutation(lock);
+  BumpEpoch(lock);
   return Status::OK();
 }
 
@@ -110,8 +105,7 @@ Status Storm::Delete(ObjectId id) {
   if (wal_ != nullptr) BP_RETURN_IF_ERROR(wal_->AppendDelete(id));
   index_.Remove(id);
   BP_RETURN_IF_ERROR(objects_->Delete(id));
-  BumpEpoch();
-  NotifyMutation(lock);
+  BumpEpoch(lock);
   return Status::OK();
 }
 
@@ -143,15 +137,13 @@ Status Storm::Update(ObjectId id, const Bytes& data) {
     // postings so index and store agree, and report the one mutation
     // that did happen.
     index_.Remove(id);
-    BumpEpoch();
-    NotifyMutation(lock);
+    BumpEpoch(lock);
     return put;
   }
   // Add() replaces the old postings of id wholesale, so the index never
   // keeps tokens from the previous content.
   if (options_.build_index) index_.Add(id, ToString(data));
-  BumpEpoch();
-  NotifyMutation(lock);
+  BumpEpoch(lock);
   return Status::OK();
 }
 

@@ -147,11 +147,9 @@ class Storm {
  private:
   Storm() = default;
 
-  /// One logical mutation: bumps the epoch and drops the (now entirely
-  /// stale) query cache. Called with mu_ held.
-  void BumpEpoch();
-  /// Releases `lock` and then tells the listener the epoch BumpEpoch set.
-  void NotifyMutation(std::unique_lock<std::mutex>& lock);
+  /// One logical mutation: bumps the epoch, drops the (now entirely
+  /// stale) query cache, releases `lock` (mu_) and notifies the listener.
+  void BumpEpoch(std::unique_lock<std::mutex>& lock);
 
   struct CachedQuery {
     uint64_t epoch = 0;
