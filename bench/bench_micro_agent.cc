@@ -38,11 +38,9 @@ void BM_SearchAgentStateRoundTrip(benchmark::State& state) {
   core::SearchAgent agent(99, "some keyword phrase",
                           core::AnswerMode::kDirect);
   for (auto _ : state) {
-    BinaryWriter w;
-    agent.SaveState(w);
+    Bytes saved = agent.SaveState();
     core::SearchAgent fresh;
-    BinaryReader r(w.buffer());
-    Status s = fresh.LoadState(r);
+    Status s = fresh.LoadState(saved);
     benchmark::DoNotOptimize(s);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -57,8 +55,8 @@ void BM_AgentFloodLine(benchmark::State& state) {
   class NoopAgent : public agent::Agent {
    public:
     std::string_view class_name() const override { return "Noop"; }
-    void SaveState(BinaryWriter&) const override {}
-    Status LoadState(BinaryReader&) override { return Status::OK(); }
+    Bytes SaveState() const override { return {}; }
+    Status LoadState(const Bytes&) override { return Status::OK(); }
     Status Execute(agent::AgentContext&) override { return Status::OK(); }
   };
   class NullHost : public agent::AgentHost {

@@ -113,10 +113,13 @@ class Agent {
   virtual std::string_view class_name() const = 0;
 
   /// Serializes mutable state for shipment.
-  virtual void SaveState(BinaryWriter& writer) const = 0;
+  virtual Bytes SaveState() const = 0;
 
-  /// Restores state at the destination engine.
-  virtual Status LoadState(BinaryReader& reader) = 0;
+  /// Restores state at the destination engine from exactly `state`. The
+  /// state arrives from another node, so it is hostile input: a class
+  /// lists its fields in a util/wire.h Wire() and forwards both calls
+  /// to it.
+  virtual Status LoadState(const Bytes& state) = 0;
 
   /// Runs at the current node. Report CPU via ctx.ChargeCpu and outputs
   /// via ctx.SendMessage; both are applied by the runtime.

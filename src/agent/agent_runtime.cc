@@ -93,8 +93,7 @@ struct AgentRuntime::Execution {
 
 Status AgentRuntime::ExecuteIncoming(const AgentMessage& msg) {
   BP_ASSIGN_OR_RETURN(auto agent, registry_->Create(msg.class_name));
-  BinaryReader reader(msg.state);
-  BP_RETURN_IF_ERROR(agent->LoadState(reader));
+  BP_RETURN_IF_ERROR(agent->LoadState(msg.state));
 
   SimTime setup = net::kAgentReconstructCost;
   if (!code_cache_->Has(node_, msg.class_name)) {
@@ -178,9 +177,7 @@ Status AgentRuntime::Launch(uint64_t agent_id, Agent& agent, uint16_t ttl,
   msg.origin = node_;
   msg.ttl = static_cast<uint16_t>(ttl - 1);
   msg.hops = 1;
-  BinaryWriter writer;
-  agent.SaveState(writer);
-  msg.state = writer.Take();
+  msg.state = agent.SaveState();
 
   for (NodeId target : targets) {
     if (target == node_) continue;

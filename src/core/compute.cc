@@ -25,21 +25,6 @@ bool FilterRegistry::Contains(std::string_view name) const {
   return filters_.find(name) != filters_.end();
 }
 
-void ComputeAgent::SaveState(BinaryWriter& writer) const {
-  writer.WriteU64(query_id_);
-  writer.WriteString(filter_name_);
-  writer.WriteBytes(params_);
-  writer.WriteI64(net::kComputePerObjectCost);
-}
-
-Status ComputeAgent::LoadState(BinaryReader& reader) {
-  BP_ASSIGN_OR_RETURN(query_id_, reader.ReadU64());
-  BP_ASSIGN_OR_RETURN(filter_name_, reader.ReadString());
-  BP_ASSIGN_OR_RETURN(params_, reader.ReadBytes());
-  // The sender's per-object cost: read past, never used.
-  return reader.ReadI64().status();
-}
-
 Status ComputeAgent::Execute(agent::AgentContext& ctx) {
   storm::Storm* storage = ctx.host()->storage();
   if (storage == nullptr) return Status::OK();

@@ -9,8 +9,10 @@
 
 #include "agent/agent.h"
 #include "core/messages.h"
+#include "net/cost_model.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::core {
 
@@ -45,9 +47,7 @@ class FilterRegistry {
 /// Agent carrying a filter id + parameters; at each node it runs the
 /// filter over every shared object and sends the non-empty outputs back
 /// to the base node as a mode-1 result ("only the necessary data is
-/// transmitted to the requester"). Its encoding also carries the sender's
-/// per-object cost, which LoadState discards: the visited node charges
-/// net::kComputePerObjectCost.
+/// transmitted to the requester").
 class ComputeAgent : public agent::Agent {
  public:
   ComputeAgent() = default;
@@ -57,11 +57,21 @@ class ComputeAgent : public agent::Agent {
         params_(std::move(params)) {}
 
   std::string_view class_name() const override { return kComputeAgentClass; }
-  void SaveState(BinaryWriter& writer) const override;
-  Status LoadState(BinaryReader& reader) override;
+  Bytes SaveState() const override { return wire::Encode(*this); }
+  Status LoadState(const Bytes& state) override {
+    return wire::DecodeInto(state, *this);
+  }
   Status Execute(agent::AgentContext& ctx) override;
 
   uint64_t query_id() const { return query_id_; }
+
+  /// Query id, filter name, parameters, then the sender's per-object
+  /// cost: written from net/cost_model.h and read into a discard, because
+  /// the visited node charges its own net::kComputePerObjectCost.
+  static Status Wire(auto& m, auto& io) {
+    int64_t sender_cost = net::kComputePerObjectCost;
+    return io(m.query_id_, m.filter_name_, m.params_, sender_cost);
+  }
 
  private:
   uint64_t query_id_ = 0;

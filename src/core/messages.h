@@ -61,8 +61,8 @@ struct SearchResultMessage {
   uint64_t query_id = 0;
   uint16_t hops = 0;
   uint8_t mode = 1;
-  /// Size of the responder's shared store (objects scanned); the
-  /// initiator uses it as the store-size hint for adaptive shipping.
+  /// Size of the responder's shared store; the initiator uses it as the
+  /// store-size hint for adaptive shipping.
   uint32_t responder_object_count = 0;
   std::vector<ResultItem> items;
   /// Responder's IndexEpoch (storm mutation epoch + 1) at serve time.

@@ -41,11 +41,11 @@ void CacheProbe::Arm(uint64_t query_id, const std::string& keyword,
   auto norm = storm::QueryExpr::NormalizeQuery(keyword);
   const std::string key = norm.ok() ? std::move(norm).value() : keyword;
   cache_.RecordAccess(key);
-  std::map<uint32_t, uint64_t> known;
+  std::vector<SearchAgent::KnownEpoch> known;  // Ascending, as the map.
   std::map<NodeId, cache::CachedSlice> snapshot;
   if (const auto* slices = cache_.SlicesFor(key)) {
     for (const auto& [source, slice] : *slices) {
-      known.emplace(static_cast<uint32_t>(source), slice.epoch);
+      known.push_back({static_cast<uint32_t>(source), slice.epoch});
       snapshot.emplace(static_cast<NodeId>(source), slice);
     }
   }

@@ -1,101 +1,37 @@
 #include "net/frame.h"
 
-#include <cstring>
+#include <algorithm>
 
 namespace bestpeer::net {
 
-namespace {
-
-void PutU16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
-
-void PutU32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-void PutU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-}  // namespace
-
-Bytes EncodeFrame(const FrameHeader& header, const Bytes& payload) {
-  Bytes out(kFrameOverheadBytes + payload.size(), 0);
-  uint8_t* p = out.data();
-  PutU32(p + 0, kFrameMagic);
-  PutU16(p + 4, kFrameVersion);
-  PutU16(p + 6, header.flags);
-  PutU32(p + 8, header.type);
-  PutU32(p + 12, header.src);
-  PutU32(p + 16, header.dst);
-  PutU64(p + 20, header.flow);
-  PutU32(p + 28, static_cast<uint32_t>(payload.size()));
-  PutU32(p + 32, header.extra_wire);
-  if (header.sampled()) {
-    PutU64(p + 36, static_cast<uint64_t>(header.sent_at_us));
-  }
-  // Bytes 44..63 stay zero (reserved); 36..43 too on unsampled frames.
-  if (!payload.empty()) {
-    std::memcpy(out.data() + kFrameOverheadBytes, payload.data(),
-                payload.size());
-  }
-  return out;
-}
-
-Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t len,
-                                      size_t max_payload) {
-  if (len < kFrameOverheadBytes) {
-    return Status::InvalidArgument("frame header truncated");
-  }
-  if (GetU32(data + 0) != kFrameMagic) {
-    return Status::Corruption("bad frame magic");
-  }
-  if (GetU16(data + 4) != kFrameVersion) {
-    return Status::Corruption("unsupported frame version");
-  }
-  const uint16_t flags = GetU16(data + 6);
+Status FrameHeader::Check() const {
   if ((flags & ~kFrameFlagsMask) != 0) {
     return Status::Corruption("unknown frame flags");
   }
-  for (size_t i = 44; i < kFrameOverheadBytes; ++i) {
-    if (data[i] != 0) return Status::Corruption("nonzero reserved bytes");
-  }
-  FrameHeader h;
-  h.flags = flags;
-  h.type = GetU32(data + 8);
-  h.src = GetU32(data + 12);
-  h.dst = GetU32(data + 16);
-  h.flow = GetU64(data + 20);
-  h.payload_len = GetU32(data + 28);
-  h.extra_wire = GetU32(data + 32);
-  h.sent_at_us = static_cast<int64_t>(GetU64(data + 36));
-  if (!h.sampled() && h.sent_at_us != 0) {
+  if (!sampled() && sent_at_us != 0) {
     // The timestamp field is part of the sampled extension; on plain
     // frames those bytes are still reserved-zero.
     return Status::Corruption("nonzero reserved bytes");
   }
-  if (h.payload_len > max_payload) {
+  if (payload_len > kMaxFramePayload) {
     return Status::Corruption("frame payload length over limit");
   }
-  return h;
+  return Status::OK();
+}
+
+Bytes EncodeFrame(const FrameHeader& header, const Bytes& payload) {
+  FrameHeader h = header;
+  h.payload_len = static_cast<uint32_t>(payload.size());
+  if (!h.sampled()) h.sent_at_us = 0;
+  wire::Writer writer(kFrameOverheadBytes + payload.size());
+  (void)writer(h);
+  Bytes out = writer.Take();
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t len) {
+  return wire::Decode<FrameHeader>(data, std::min(len, kFrameOverheadBytes));
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t len) {
@@ -104,7 +40,7 @@ void FrameDecoder::Feed(const uint8_t* data, size_t len) {
   if (pos_ > 0 && pos_ == buf_.size()) {
     buf_.clear();
     pos_ = 0;
-  } else if (pos_ > kFrameOverheadBytes + max_payload_) {
+  } else if (pos_ > kFrameOverheadBytes + kMaxFramePayload) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
     pos_ = 0;
   }
@@ -115,8 +51,7 @@ Result<bool> FrameDecoder::Next(FrameHeader* out_header, Bytes* out_payload) {
   if (poisoned_) return Status::Corruption("frame stream out of sync");
   if (!have_header_) {
     if (buf_.size() - pos_ < kFrameOverheadBytes) return false;
-    auto header = DecodeFrameHeader(buf_.data() + pos_, kFrameOverheadBytes,
-                                    max_payload_);
+    auto header = DecodeFrameHeader(buf_.data() + pos_, kFrameOverheadBytes);
     if (!header.ok()) {
       poisoned_ = true;
       return header.status();

@@ -1,12 +1,14 @@
 #ifndef BESTPEER_NET_FRAME_H_
 #define BESTPEER_NET_FRAME_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
 #include "net/message.h"
 #include "util/bytes.h"
 #include "util/status.h"
+#include "util/wire.h"
 
 namespace bestpeer::net {
 
@@ -64,25 +66,33 @@ struct FrameHeader {
   int64_t sent_at_us = 0;
 
   bool sampled() const { return (flags & kFrameFlagSampled) != 0; }
+
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Const<uint32_t>{kFrameMagic},
+              wire::Const<uint16_t>{kFrameVersion}, m.flags, m.type, m.src,
+              m.dst, m.flow, m.payload_len, m.extra_wire, m.sent_at_us,
+              wire::Const<std::array<uint8_t, 20>>{});
+  }
+  /// Unknown flag bits, a timestamp on an unsampled frame and a payload
+  /// length above kMaxFramePayload are corrupt.
+  Status Check() const;
 };
 
-/// Serializes one message as header + payload.
+/// Serializes one message as header + payload, in one allocation. The
+/// header's payload_len is the payload's size, and an unsampled header's
+/// sent_at_us is written as zero.
 Bytes EncodeFrame(const FrameHeader& header, const Bytes& payload);
 
-/// Parses a frame header from exactly kFrameOverheadBytes bytes.
-/// Rejects bad magic, unknown versions, nonzero flags/reserved bytes and
-/// payload lengths above `max_payload`.
-Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t len,
-                                      size_t max_payload = kMaxFramePayload);
+/// Parses the frame header in the first kFrameOverheadBytes of `data`.
+/// Rejects a shorter input, bad magic, unknown versions, nonzero
+/// reserved bytes and whatever FrameHeader::Check rejects.
+Result<FrameHeader> DecodeFrameHeader(const uint8_t* data, size_t len);
 
 /// Incremental decoder for a TCP byte stream. Feed() appends raw bytes;
 /// Next() extracts complete frames. A malformed header poisons the
 /// decoder (the stream has lost sync, so the connection must be closed).
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_payload = kMaxFramePayload)
-      : max_payload_(max_payload) {}
-
   void Feed(const uint8_t* data, size_t len);
 
   /// True: one frame extracted into *out_header / *out_payload.
@@ -93,7 +103,6 @@ class FrameDecoder {
   size_t buffered() const { return buf_.size() - pos_; }
 
  private:
-  size_t max_payload_;
   Bytes buf_;
   size_t pos_ = 0;
   bool have_header_ = false;

@@ -173,7 +173,9 @@ bool TcpTransport::IsOnline(NodeId node) const {
   return net_->IsOnline(node);
 }
 
-LinkProfile TcpTransport::link() const { return net_->options().link; }
+// The simulated LAN's parameters: the shipping cost model reads them, so
+// both backends price shipping alike.
+LinkProfile TcpTransport::link() const { return LinkProfile{}; }
 
 obs::FlightRecorder* TcpTransport::flight() const {
   return net_->options().flight;
@@ -205,7 +207,7 @@ void TcpTransport::SendOnReactor(NodeId dst, uint32_t type, Bytes payload,
                                  size_t extra_wire_bytes, FlowId flow) {
   if (!net_->Addressable(dst) || !net_->IsOnline(dst) ||
       !net_->IsOnline(node_) ||
-      payload.size() > net_->options().max_frame_payload) {
+      payload.size() > kMaxFramePayload) {
     tx_dropped_.fetch_add(1, std::memory_order_relaxed);
     tx_dropped_c_->Increment();
     RecordMsgEvent(obs::EventType::kMsgDrop,
@@ -236,12 +238,7 @@ void TcpTransport::SendOnReactor(NodeId dst, uint32_t type, Bytes payload,
   }
   Bytes frame = EncodeFrame(header, payload);
 
-  auto [it, inserted] = peers_.try_emplace(dst);
-  PeerConn& peer = it->second;
-  if (inserted) {
-    peer.backoff = Backoff(net_->options().reconnect_base,
-                           net_->options().reconnect_max);
-  }
+  PeerConn& peer = peers_[dst];
   if (peer.queue.size() >= net_->options().max_queue_msgs) {
     tx_dropped_.fetch_add(1, std::memory_order_relaxed);
     tx_dropped_c_->Increment();
@@ -272,7 +269,7 @@ void TcpTransport::OnAcceptable() {
     if (fd < 0) return;  // EAGAIN or transient error; epoll re-arms us.
     SetNonBlocking(fd);
     SetNoDelay(fd);
-    auto conn = std::make_unique<InConn>(net_->options().max_frame_payload);
+    auto conn = std::make_unique<InConn>();
     conn->fd = fd;
     inbound_[fd] = std::move(conn);
     net_->reactor().AddFd(fd, /*want_read=*/true, /*want_write=*/false,

@@ -28,12 +28,6 @@ struct TcpOptions {
   /// dropped and counted in net.tx_dropped — mirroring the simulator's
   /// fire-and-forget drop semantics instead of blocking protocol code.
   size_t max_queue_msgs = 1024;
-  size_t max_frame_payload = kMaxFramePayload;
-  SimTime reconnect_base = Millis(10);
-  SimTime reconnect_max = Seconds(2);
-  /// LinkProfile reported by Transport::link(); the shipping cost model
-  /// reads it, so keep it at the simulated LAN's parameters for parity.
-  LinkProfile link;
   /// Metrics sink (not owned; may be nullptr). Instruments are created
   /// and snapshotted on the reactor thread, which also makes every
   /// increment except a store's pool counters: a scan on a worker bumps
@@ -112,6 +106,7 @@ class TcpTransport final : public Transport {
     bool connecting = false;
     std::deque<Bytes> queue;  // Encoded frames awaiting write.
     size_t write_off = 0;     // Progress into queue.front().
+    /// Redial delays: 10 ms, doubling up to 2 s.
     Backoff backoff{Millis(10), Seconds(2)};
     bool retry_scheduled = false;
   };
@@ -119,7 +114,6 @@ class TcpTransport final : public Transport {
   struct InConn {
     int fd = -1;
     FrameDecoder decoder;
-    explicit InConn(size_t max_payload) : decoder(max_payload) {}
   };
 
   TcpTransport(TcpNet* net, NodeId node, uint16_t port, int listen_fd);

@@ -175,9 +175,8 @@ Result<bool> HttpRequestParser::Next(HttpRequest* out) {
 // ---------------------------------------------------------------------------
 // TelemetryServer
 
-TelemetryServer::TelemetryServer(net::Reactor* reactor,
-                                 TelemetryServerOptions options)
-    : reactor_(reactor), options_(std::move(options)) {}
+TelemetryServer::TelemetryServer(net::Reactor* reactor, std::string address)
+    : reactor_(reactor), address_(std::move(address)) {}
 
 TelemetryServer::~TelemetryServer() { Stop(); }
 
@@ -206,7 +205,7 @@ Status ParseHostPort(const std::string& address, std::string* host,
 Status TelemetryServer::Start() {
   if (started_) return Status::InvalidArgument("telemetry already started");
   uint16_t want_port = 0;
-  Status st = ParseHostPort(options_.address, &host_, &want_port);
+  Status st = ParseHostPort(address_, &host_, &want_port);
   if (!st.ok()) return st;
 
   sockaddr_in addr{};
@@ -224,7 +223,7 @@ Status TelemetryServer::Start() {
   if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     const int err = errno;
     ::close(fd);
-    return Status::Internal("bind " + options_.address + ": " +
+    return Status::Internal("bind " + address_ + ": " +
                             std::strerror(err));
   }
   if (::listen(fd, 16) != 0) {
@@ -278,13 +277,13 @@ void TelemetryServer::OnAcceptable() {
       if (errno == EINTR) continue;
       return;
     }
-    if (conns_.size() >= options_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       ::close(fd);
       continue;
     }
     net::SetNonBlocking(fd);
-    Conn conn(options_.parser);
+    Conn conn;
     conn.fd = fd;
     conn.id = next_conn_id_++;
     const uint64_t id = conn.id;
@@ -296,7 +295,7 @@ void TelemetryServer::OnAcceptable() {
 }
 
 void TelemetryServer::ArmConnTimeout(int fd, uint64_t id) {
-  reactor_->AddTimerAt(reactor_->now_us() + options_.conn_timeout_us,
+  reactor_->AddTimerAt(reactor_->now_us() + kConnTimeoutUs,
                        [this, fd, id]() {
                          auto it = conns_.find(fd);
                          // Guard against fd reuse: only the connection the

@@ -79,29 +79,27 @@ struct HttpResponse {
   std::string body;
 };
 
-struct TelemetryServerOptions {
-  /// "host:port" to bind; port 0 lets the kernel pick (read it back via
-  /// port()). Loopback by default: the plane is an operator surface, not
-  /// a public one.
-  std::string address = "127.0.0.1:0";
-  HttpParserLimits parser;
-  /// A connection idle past this (no complete request, unwritten
-  /// response) is closed.
-  int64_t conn_timeout_us = 5'000'000;
-  /// Accepted connections beyond this are closed immediately.
-  size_t max_connections = 64;
-};
-
 /// The server. Register handlers, Start(), and every matching GET is
 /// answered on the reactor thread. Exact-path routing; unknown paths get
 /// 404, non-GET methods 405, parse failures a best-effort 400 then close.
+/// Requests parse under the default HttpParserLimits; a connection idle
+/// past kConnTimeoutUs (no complete request, unwritten response) is
+/// closed, and accepted connections beyond kMaxConnections are closed
+/// immediately.
 class TelemetryServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
-  /// `reactor` must outlive the server. Start() may be called before or
-  /// after the reactor starts (registration rides Reactor::Post).
-  TelemetryServer(net::Reactor* reactor, TelemetryServerOptions options = {});
+  static constexpr int64_t kConnTimeoutUs = 5'000'000;
+  static constexpr size_t kMaxConnections = 64;
+
+  /// `reactor` must outlive the server. `address` is the "host:port" to
+  /// bind; port 0 lets the kernel pick (read it back via port()).
+  /// Loopback by default: the plane is an operator surface, not a public
+  /// one. Start() may be called before or after the reactor starts
+  /// (registration rides Reactor::Post).
+  explicit TelemetryServer(net::Reactor* reactor,
+                           std::string address = "127.0.0.1:0");
   ~TelemetryServer();
   TelemetryServer(const TelemetryServer&) = delete;
   TelemetryServer& operator=(const TelemetryServer&) = delete;
@@ -136,7 +134,6 @@ class TelemetryServer {
     std::string out;       ///< Encoded response awaiting write.
     size_t out_off = 0;
     bool responding = false;  ///< Response queued; close once written.
-    explicit Conn(HttpParserLimits limits) : parser(limits) {}
   };
 
   // All private methods run on the reactor thread.
@@ -149,7 +146,7 @@ class TelemetryServer {
   void ArmConnTimeout(int fd, uint64_t id);
 
   net::Reactor* reactor_;
-  TelemetryServerOptions options_;
+  std::string address_;
   std::map<std::string, Handler> handlers_;
   std::string host_;
   uint16_t port_ = 0;

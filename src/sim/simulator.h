@@ -71,9 +71,6 @@ class Simulator {
   void EnableTracing();
   void EnableTracing(const trace::TraceRecorderOptions& options);
 
-  /// Stops recording and drops the recorder.
-  void DisableTracing() { trace_.reset(); }
-
   /// The active recorder, or nullptr when tracing is disabled.
   trace::TraceRecorder* trace() const { return trace_.get(); }
 

@@ -36,19 +36,19 @@ ContentSummary ContentSummary::Build(const KeywordIndex& index,
   nbits = std::min(nbits, kMaxFilterWords * 64);
   summary.bits_.assign(nbits / 64, 0);
 
-  std::vector<std::pair<std::string, uint32_t>> top;
+  std::vector<TopKeyword> top;
   index.ForEachKeyword([&](std::string_view keyword, size_t count) {
     BloomBits(keyword, summary.num_hashes_, nbits, [&](size_t bit) {
       summary.bits_[bit / 64] |= uint64_t{1} << (bit % 64);
       return true;
     });
-    top.emplace_back(std::string(keyword), static_cast<uint32_t>(count));
+    top.push_back({std::string(keyword), count});
   });
   size_t keep = std::min(options.top_k, std::min(kMaxTopKeywords, top.size()));
   std::partial_sort(top.begin(), top.begin() + static_cast<ptrdiff_t>(keep),
                     top.end(), [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
+                      if (a.count != b.count) return a.count > b.count;
+                      return a.keyword < b.keyword;
                     });
   top.resize(keep);
   summary.top_keywords_ = std::move(top);
@@ -84,54 +84,12 @@ bool ContentSummary::MayMatch(const QueryExpr& query) const {
   return false;
 }
 
-Bytes ContentSummary::Encode() const {
-  BinaryWriter writer;
-  writer.WriteVarint(epoch_);
-  writer.WriteVarint(keyword_count_);
-  writer.WriteU8(num_hashes_);
-  writer.WriteVarint(bits_.size());
-  for (uint64_t word : bits_) writer.WriteU64(word);
-  writer.WriteVarint(top_keywords_.size());
-  for (const auto& [keyword, count] : top_keywords_) {
-    writer.WriteString(keyword);
-    writer.WriteVarint(count);
-  }
-  return writer.Take();
-}
-
-Result<ContentSummary> ContentSummary::Decode(const Bytes& payload) {
-  BinaryReader reader(payload);
-  ContentSummary summary;
-  BP_ASSIGN_OR_RETURN(summary.epoch_, reader.ReadVarint());
-  BP_ASSIGN_OR_RETURN(summary.keyword_count_, reader.ReadVarint());
-  BP_ASSIGN_OR_RETURN(summary.num_hashes_, reader.ReadU8());
-  if (summary.num_hashes_ < 1 || summary.num_hashes_ > kMaxHashes) {
+Status ContentSummary::Check() const {
+  if (num_hashes_ < 1 || num_hashes_ > kMaxHashes) {
     return Status::Corruption("summary hash count out of range");
   }
-  BP_ASSIGN_OR_RETURN(uint64_t words, reader.ReadVarint());
-  if (words == 0 || words > kMaxFilterWords) {
-    return Status::Corruption("summary filter size out of range");
-  }
-  summary.bits_.reserve(words);
-  for (uint64_t i = 0; i < words; ++i) {
-    BP_ASSIGN_OR_RETURN(uint64_t word, reader.ReadU64());
-    summary.bits_.push_back(word);
-  }
-  BP_ASSIGN_OR_RETURN(uint64_t top, reader.ReadVarint());
-  if (top > kMaxTopKeywords) {
-    return Status::Corruption("summary top-keyword count out of range");
-  }
-  summary.top_keywords_.reserve(top);
-  for (uint64_t i = 0; i < top; ++i) {
-    BP_ASSIGN_OR_RETURN(std::string keyword, reader.ReadString());
-    BP_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-    summary.top_keywords_.emplace_back(std::move(keyword),
-                                       static_cast<uint32_t>(count));
-  }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after summary");
-  }
-  return summary;
+  if (bits_.empty()) return Status::Corruption("summary filter is empty");
+  return Status::OK();
 }
 
 }  // namespace bestpeer::storm

@@ -11,6 +11,7 @@
 #include "storm/query_expr.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::storm {
 
@@ -29,6 +30,17 @@ class ContentSummary {
     size_t num_hashes = 6;
     /// How many of the most frequent keywords to carry verbatim.
     size_t top_k = 8;
+  };
+
+  /// One of the most frequent keywords and its posting count.
+  struct TopKeyword {
+    std::string keyword;
+    uint64_t count = 0;
+
+    bool operator==(const TopKeyword&) const = default;
+    static Status Wire(auto& m, auto& io) {
+      return io(m.keyword, wire::Varint(m.count));
+    }
   };
 
   /// Decoder caps; encodings exceeding them are rejected as corrupt.
@@ -54,17 +66,25 @@ class ContentSummary {
   /// present. False means the peer provably matches nothing.
   bool MayMatch(const QueryExpr& query) const;
 
-  /// Wire codec (bounds-checked; every truncation of a valid encoding
-  /// fails to decode).
-  Bytes Encode() const;
-  static Result<ContentSummary> Decode(const Bytes& payload);
+  /// Wire codec (util/wire.h; every truncation of a valid encoding fails
+  /// to decode).
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<ContentSummary> Decode(const Bytes& payload) {
+    return wire::Decode<ContentSummary>(payload);
+  }
+
+  static Status Wire(auto& m, auto& io) {
+    return io(wire::Varint(m.epoch_), wire::Varint(m.keyword_count_),
+              m.num_hashes_, wire::Max(m.bits_, kMaxFilterWords),
+              wire::Max(m.top_keywords_, kMaxTopKeywords));
+  }
+  /// The hash count lies in [1, kMaxHashes] and the filter is not empty.
+  Status Check() const;
 
   uint64_t epoch() const { return epoch_; }
   uint64_t keyword_count() const { return keyword_count_; }
   size_t filter_bits() const { return bits_.size() * 64; }
-  const std::vector<std::pair<std::string, uint32_t>>& top_keywords() const {
-    return top_keywords_;
-  }
+  const std::vector<TopKeyword>& top_keywords() const { return top_keywords_; }
 
  private:
   uint64_t epoch_ = 0;
@@ -73,8 +93,8 @@ class ContentSummary {
   uint8_t num_hashes_ = 6;
   /// Bloom filter bit array, 64 bits per word.
   std::vector<uint64_t> bits_;
-  /// (keyword, posting count) of the most frequent keywords.
-  std::vector<std::pair<std::string, uint32_t>> top_keywords_;
+  /// The most frequent keywords, most frequent first.
+  std::vector<TopKeyword> top_keywords_;
 };
 
 }  // namespace bestpeer::storm

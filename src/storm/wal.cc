@@ -22,12 +22,9 @@ WriteAheadLog::~WriteAheadLog() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status WriteAheadLog::AppendRecord(RecordType type, const Bytes& payload) {
-  // Body = [type][payload]; frame = [u32 body_len][body][u64 checksum].
-  Bytes body;
-  body.reserve(payload.size() + 1);
-  body.push_back(static_cast<uint8_t>(type));
-  body.insert(body.end(), payload.begin(), payload.end());
+Status WriteAheadLog::AppendRecord(const Record& record) {
+  // Frame = [u32 body_len][body][u64 checksum].
+  const Bytes body = wire::Encode(record);
   uint64_t checksum = Fnv1a64(body.data(), body.size());
   uint32_t len = static_cast<uint32_t>(body.size());
 
@@ -47,16 +44,11 @@ Status WriteAheadLog::AppendRecord(RecordType type, const Bytes& payload) {
 }
 
 Status WriteAheadLog::AppendPut(ObjectId id, const Bytes& content) {
-  BinaryWriter w;
-  w.WriteU64(id);
-  w.WriteBytes(content);
-  return AppendRecord(RecordType::kPut, w.Take());
+  return AppendRecord({RecordType::kPut, id, content});
 }
 
 Status WriteAheadLog::AppendDelete(ObjectId id) {
-  BinaryWriter w;
-  w.WriteU64(id);
-  return AppendRecord(RecordType::kDelete, w.Take());
+  return AppendRecord({RecordType::kDelete, id, {}});
 }
 
 Result<size_t> WriteAheadLog::Replay(const ReplayVisitor& visitor) {
@@ -74,25 +66,9 @@ Result<size_t> WriteAheadLog::Replay(const ReplayVisitor& visitor) {
     if (std::fread(&stored, sizeof(stored), 1, file_) != 1) break;
     if (stored != Fnv1a64(body.data(), body.size())) break;  // Torn tail.
 
-    Record record;
-    uint8_t type = body[0];
-    if (type < 1 || type > 3) break;
-    record.type = static_cast<RecordType>(type);
-    BinaryReader r(body.data() + 1, body.size() - 1);
-    switch (record.type) {
-      case RecordType::kPut: {
-        BP_ASSIGN_OR_RETURN(record.object_id, r.ReadU64());
-        BP_ASSIGN_OR_RETURN(record.content, r.ReadBytes());
-        break;
-      }
-      case RecordType::kDelete: {
-        BP_ASSIGN_OR_RETURN(record.object_id, r.ReadU64());
-        break;
-      }
-      case RecordType::kCheckpoint:
-        break;
-    }
-    BP_RETURN_IF_ERROR(visitor(record));
+    auto record = wire::Decode<Record>(body);
+    if (!record.ok()) break;  // Corrupt body behind a valid checksum.
+    BP_RETURN_IF_ERROR(visitor(record.value()));
     ++visited;
   }
   // Leave the write position at the end for subsequent appends.

@@ -10,6 +10,7 @@
 #include "storm/object_store.h"
 #include "util/bytes.h"
 #include "util/result.h"
+#include "util/wire.h"
 
 namespace bestpeer::storm {
 
@@ -19,9 +20,10 @@ namespace bestpeer::storm {
 /// idempotently on open; a checkpoint (after flushing all pages)
 /// truncates it.
 ///
-/// Record format: [u8 type][payload][u64 FNV-1a checksum of type+payload],
-/// each length-prefixed by a u32. Replay stops cleanly at the first
-/// torn/corrupt record (the standard crash-tail rule).
+/// Record format: [u32 body length][body][u64 FNV-1a checksum of body],
+/// where the body is a Record coded by util/wire.h. Replay stops cleanly
+/// at the first torn or corrupt record (the standard crash-tail rule): a
+/// log file is hostile input like any message.
 class WriteAheadLog {
  public:
   enum class RecordType : uint8_t {
@@ -30,11 +32,21 @@ class WriteAheadLog {
     kCheckpoint = 3,
   };
 
-  /// A decoded log record handed to the replay visitor.
+  /// A log record body: its type, then the object id (Put and Delete),
+  /// then the content (Put only).
   struct Record {
-    RecordType type;
+    RecordType type = RecordType::kCheckpoint;
     ObjectId object_id = 0;
-    Bytes content;  // Put only.
+    Bytes content;
+
+    static Status Wire(auto& m, auto& io) {
+      BP_RETURN_IF_ERROR(io(wire::Enum(m.type, RecordType::kPut,
+                                       RecordType::kCheckpoint)));
+      if (m.type == RecordType::kCheckpoint) return Status::OK();
+      BP_RETURN_IF_ERROR(io(m.object_id));
+      if (m.type == RecordType::kDelete) return Status::OK();
+      return io(m.content);
+    }
   };
 
   using ReplayVisitor = std::function<Status(const Record&)>;
@@ -70,7 +82,7 @@ class WriteAheadLog {
   WriteAheadLog(std::FILE* file, std::string path)
       : file_(file), path_(std::move(path)) {}
 
-  Status AppendRecord(RecordType type, const Bytes& payload);
+  Status AppendRecord(const Record& record);
 
   std::FILE* file_;
   std::string path_;

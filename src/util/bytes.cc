@@ -98,14 +98,17 @@ Result<std::string> BinaryReader::ReadString() {
 
 Result<Bytes> BinaryReader::ReadBytes() {
   BP_ASSIGN_OR_RETURN(uint64_t n, ReadVarint());
-  return ReadRaw(n);
-}
-
-Result<Bytes> BinaryReader::ReadRaw(size_t n) {
   BP_RETURN_IF_ERROR(Need(n));
   Bytes out(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return out;
+}
+
+Status BinaryReader::ReadRaw(void* out, size_t n) {
+  BP_RETURN_IF_ERROR(Need(n));
+  std::memcpy(out, data_ + pos_, n);
+  pos_ += n;
+  return Status::OK();
 }
 
 Bytes ToBytes(std::string_view s) { return Bytes(s.begin(), s.end()); }

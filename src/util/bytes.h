@@ -16,12 +16,16 @@ namespace bestpeer {
 using Bytes = std::vector<uint8_t>;
 
 /// Serializes integers (little-endian / varint), strings and blobs into a
-/// Bytes buffer. All wire formats in BestPeer (agent messages, Gnutella
-/// descriptors, LIGLO requests, StorM pages) are produced with this writer
-/// and consumed with BinaryReader, so encode/decode stay symmetric.
+/// Bytes buffer. util/wire.h writes every message, frame, agent state and
+/// WAL record through it and reads them back with BinaryReader; the LZSS
+/// codec uses both directly.
 class BinaryWriter {
  public:
   BinaryWriter() = default;
+
+  /// Reserves room for `n` bytes, so a writer that knows its output size
+  /// allocates once.
+  void Reserve(size_t n) { buf_.reserve(n); }
 
   /// Appends a single byte.
   void WriteU8(uint8_t v) { buf_.push_back(v); }
@@ -77,8 +81,8 @@ class BinaryReader {
   Result<std::string> ReadString();
   Result<Bytes> ReadBytes();
 
-  /// Reads `n` raw bytes with no length prefix.
-  Result<Bytes> ReadRaw(size_t n);
+  /// Copies the next `n` raw bytes (no length prefix) into `out`.
+  Status ReadRaw(void* out, size_t n);
 
   /// Bytes remaining to be read.
   size_t remaining() const { return len_ - pos_; }

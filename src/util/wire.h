@@ -1,7 +1,6 @@
 #ifndef BESTPEER_UTIL_WIRE_H_
 #define BESTPEER_UTIL_WIRE_H_
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -43,7 +42,8 @@
 ///   Max(v, n)                 a vector, or a Varint of one, of at most n
 ///                             elements
 ///   Enum(x, lo, hi)           a one-byte enum whose value lies in [lo, hi]
-///   Const<T>{v}               a leading magic or version that must read v
+///   Const<T>{v}               a magic, version or reserved field that
+///                             must read v
 ///   io.Optional(present)      gates one trailing section: written iff
 ///                             `present`, read iff bytes remain
 ///
@@ -106,6 +106,10 @@ Status Fields(M& m, IO& io) {
 /// Appends each field to a buffer; never fails.
 class Writer {
  public:
+  Writer() = default;
+  /// Reserves `reserve` bytes up front (a frame header plus its payload).
+  explicit Writer(size_t reserve) { out_.Reserve(reserve); }
+
   template <typename... F>
   Status operator()(const F&... fields) {
     (Put(fields), ...);
@@ -179,7 +183,7 @@ class Writer {
 class Reader {
  public:
   /// The reader does not own `data`; it must outlive the reader.
-  explicit Reader(const Bytes& data) : in_(data) {}
+  Reader(const uint8_t* data, size_t len) : in_(data, len) {}
 
   template <typename... F>
   Status operator()(F&&... fields) {
@@ -227,9 +231,7 @@ class Reader {
   }
   template <size_t N>
   Status Get(std::array<uint8_t, N>& v) {
-    BP_ASSIGN_OR_RETURN(Bytes raw, in_.ReadRaw(N));
-    std::copy(raw.begin(), raw.end(), v.begin());
-    return Status::OK();
+    return in_.ReadRaw(v.data(), N);
   }
   template <typename T>
   Status Get(std::vector<T>& v, uint64_t max = UINT64_MAX) {
@@ -272,7 +274,7 @@ class Reader {
   Status Get(Const<T>& c) {
     T v{};
     BP_RETURN_IF_ERROR(Get(v));
-    if (v != c.value) return Status::Corruption("bad magic or version");
+    if (v != c.value) return Status::Corruption("bad magic, version or reserved bytes");
     return Status::OK();
   }
 
@@ -296,14 +298,29 @@ Bytes Encode(const M& m) {
   return w.Take();
 }
 
-/// The M encoded in exactly `data`.
+/// Reads `m`'s fields in place from exactly the `len` bytes at `data`.
 template <typename M>
-Result<M> Decode(const Bytes& data) {
-  Reader r(data);
-  M m;
+Status DecodeInto(const uint8_t* data, size_t len, M& m) {
+  Reader r(data, len);
   BP_RETURN_IF_ERROR(r(m));
   if (!r.AtEnd()) return Status::Corruption("trailing bytes");
+  return Status::OK();
+}
+template <typename M>
+Status DecodeInto(const Bytes& data, M& m) {
+  return DecodeInto(data.data(), data.size(), m);
+}
+
+/// The M encoded in exactly `data`.
+template <typename M>
+Result<M> Decode(const uint8_t* data, size_t len) {
+  M m;
+  BP_RETURN_IF_ERROR(DecodeInto(data, len, m));
   return m;
+}
+template <typename M>
+Result<M> Decode(const Bytes& data) {
+  return Decode<M>(data.data(), data.size());
 }
 
 }  // namespace bestpeer::wire

@@ -39,11 +39,6 @@ double ExperimentResult::CompletionMs(size_t query_index) const {
   return ToMillis(queries[query_index].completion);
 }
 
-double ExperimentResult::LastCompletionMs() const {
-  if (queries.empty()) return 0;
-  return ToMillis(queries.back().completion);
-}
-
 size_t ExperimentResult::TotalAnswers() const {
   size_t n = 0;
   for (const auto& q : queries) n += q.total_answers;

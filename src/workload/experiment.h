@@ -50,7 +50,6 @@ struct ExperimentResult : RunArtifacts {
 
   double MeanCompletionMs() const;
   double CompletionMs(size_t query_index) const;
-  double LastCompletionMs() const;
   size_t TotalAnswers() const;
 };
 

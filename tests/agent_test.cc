@@ -9,6 +9,7 @@
 #include "net/dispatcher.h"
 #include "net/sim_transport.h"
 #include "sim/simulator.h"
+#include "util/wire.h"
 
 namespace bestpeer::agent {
 namespace {
@@ -23,12 +24,9 @@ class VisitAgent : public Agent {
 
   std::string_view class_name() const override { return "VisitAgent"; }
 
-  void SaveState(BinaryWriter& writer) const override {
-    writer.WriteString(tag_);
-  }
-  Status LoadState(BinaryReader& reader) override {
-    BP_ASSIGN_OR_RETURN(tag_, reader.ReadString());
-    return Status::OK();
+  Bytes SaveState() const override { return wire::Encode(tag_); }
+  Status LoadState(const Bytes& state) override {
+    return wire::DecodeInto(state, tag_);
   }
   Status Execute(AgentContext& ctx) override {
     ctx.ChargeCpu(Millis(1));

@@ -305,8 +305,12 @@ class RawStateAgent : public agent::Agent {
       : class_name_(class_name), write_(std::move(write)) {}
 
   std::string_view class_name() const override { return class_name_; }
-  void SaveState(BinaryWriter& writer) const override { write_(writer); }
-  Status LoadState(BinaryReader&) override { return Status::OK(); }
+  Bytes SaveState() const override {
+    BinaryWriter writer;
+    write_(writer);
+    return writer.Take();
+  }
+  Status LoadState(const Bytes&) override { return Status::OK(); }
   Status Execute(agent::AgentContext&) override { return Status::OK(); }
 
  private:
@@ -314,7 +318,7 @@ class RawStateAgent : public agent::Agent {
   std::function<void(BinaryWriter&)> write_;
 };
 
-/// SearchAgent::SaveState's field order: query id, keyword, answer mode,
+/// SearchAgent::Wire's field order: query id, keyword, answer mode,
 /// per-object cost, descriptor size.
 std::function<void(BinaryWriter&)> SearchState(SimTime per_object_cost,
                                                uint64_t descriptor_bytes) {
@@ -327,7 +331,7 @@ std::function<void(BinaryWriter&)> SearchState(SimTime per_object_cost,
   };
 }
 
-/// ComputeAgent::SaveState's field order: query id, filter, parameters,
+/// ComputeAgent::Wire's field order: query id, filter, parameters,
 /// per-object cost.
 std::function<void(BinaryWriter&)> ComputeState(SimTime per_object_cost) {
   return [=](BinaryWriter& w) {

@@ -6,7 +6,9 @@
 // starter peers) keeps answers independent of modelled delays, which
 // only the simulator charges. One row has two issuers whose queries are
 // in flight at once, so over TCP their agents' scans share the worker
-// pool.
+// pool. Two rows arm optional agent features: index search (scans
+// offloaded with the index path) and the result cache (probe agents run
+// inline, and repeat queries get "not modified" replies).
 
 #include <atomic>
 #include <chrono>
@@ -36,15 +38,17 @@ constexpr size_t kMatchesPerNode = 2;
 constexpr size_t kQueries = 3;
 
 /// One row of the parity table. Nodes 0 .. issuers-1 issue each round's
-/// queries together and hold no matches.
+/// queries together and hold no matches. `config` carries the row's
+/// features; MakeConfig sets the overlay fields.
 struct Shape {
   size_t nodes;
   uint64_t seed;
   size_t issuers = 1;
+  core::BestPeerConfig config = {};
 };
 
 core::BestPeerConfig MakeConfig(const Shape& shape) {
-  core::BestPeerConfig config;
+  core::BestPeerConfig config = shape.config;
   config.max_direct_peers = 6;
   config.strategy = "none";
   config.default_ttl = static_cast<uint16_t>(shape.nodes);
@@ -205,13 +209,17 @@ TEST_P(NetLoopbackTest, TcpAnswersMatchSimulated) {
 INSTANTIATE_TEST_SUITE_P(
     Fleets, NetLoopbackTest,
     ::testing::Values(Shape{4, 7}, Shape{4, 11}, Shape{8, 7}, Shape{8, 11},
-                      Shape{16, 7}, Shape{16, 11}, Shape{16, 7, 2}),
+                      Shape{16, 7}, Shape{16, 11}, Shape{16, 7, 2},
+                      Shape{16, 7, 1, {.use_index_search = true}},
+                      Shape{16, 11, 1, {.enable_result_cache = true}}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       std::string name = "n" + std::to_string(info.param.nodes) + "_seed" +
                          std::to_string(info.param.seed);
       if (info.param.issuers > 1) {
         name += "_issuers" + std::to_string(info.param.issuers);
       }
+      if (info.param.config.use_index_search) name += "_index";
+      if (info.param.config.enable_result_cache) name += "_cache";
       return name;
     });
 

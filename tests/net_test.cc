@@ -155,14 +155,13 @@ TEST(FrameTest, RejectsNonzeroReservedBytes) {
 
 TEST(FrameTest, RejectsOversizedPayloadLength) {
   Bytes wire = EncodeFrame(FrameHeader{}, Bytes{});
-  // payload_len lives at offset 28 (little-endian): claim 2 MiB against a
-  // 1 MiB cap.
-  wire[28] = 0;
-  wire[29] = 0;
-  wire[30] = 0x20;
-  wire[31] = 0;
-  EXPECT_FALSE(
-      DecodeFrameHeader(wire.data(), wire.size(), 1 << 20).ok());
+  // payload_len lives at offset 28 (little-endian): claim one byte past
+  // the cap.
+  const uint32_t claimed = static_cast<uint32_t>(kMaxFramePayload + 1);
+  for (int i = 0; i < 4; ++i) {
+    wire[28 + i] = static_cast<uint8_t>(claimed >> (8 * i));
+  }
+  EXPECT_FALSE(DecodeFrameHeader(wire.data(), wire.size()).ok());
 }
 
 TEST(FrameDecoderTest, ByteByByteFeedYieldsEveryFrame) {

@@ -74,12 +74,12 @@ TEST(ContentSummaryTest, MayMatchFollowsDnfBranches) {
 TEST(ContentSummaryTest, TopKeywordsRankByPostingCount) {
   ContentSummary summary = ContentSummary::Build(SmallIndex(), 1);
   ASSERT_FALSE(summary.top_keywords().empty());
-  EXPECT_EQ(summary.top_keywords().front().first, "alpha");
-  EXPECT_EQ(summary.top_keywords().front().second, 3u);
+  EXPECT_EQ(summary.top_keywords().front().keyword, "alpha");
+  EXPECT_EQ(summary.top_keywords().front().count, 3u);
   // Counts never increase down the list.
   for (size_t i = 1; i < summary.top_keywords().size(); ++i) {
-    EXPECT_GE(summary.top_keywords()[i - 1].second,
-              summary.top_keywords()[i].second);
+    EXPECT_GE(summary.top_keywords()[i - 1].count,
+              summary.top_keywords()[i].count);
   }
 }
 

@@ -3,8 +3,7 @@
 // layout change fails here), rejects every strict prefix and one appended
 // byte, rejects a vector count of 2^62 and, at the count, one past a
 // frame's cap, and survives a flipped byte or an oversized varint at every
-// offset. The decoders that stay hand-written (content summaries, BPF1
-// frame headers) run through the same sweeps.
+// offset. BPF1 frames also run through FrameDecoder's incremental sweep.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,9 @@
 #include "baseline/gnutella.h"
 #include "compress/codec.h"
 #include "core/active_object.h"
+#include "core/compute.h"
 #include "core/messages.h"
+#include "core/search_agent.h"
 #include "gossip/gossip_frame.h"
 #include "liglo/liglo_protocol.h"
 #include "net/frame.h"
@@ -32,6 +33,7 @@
 #include "sim/simulator.h"
 #include "storm/content_summary.h"
 #include "storm/keyword_index.h"
+#include "storm/wal.h"
 #include "util/wire.h"
 
 namespace bestpeer {
@@ -114,6 +116,21 @@ Format Row(std::string name, const M& sample, std::string golden,
     return wire::Encode(decoded);
   };
   return {std::move(name), wire::Encode(sample), std::move(round_trip),
+          std::move(golden), std::move(counts), {}};
+}
+
+/// A row for an agent class: its state goes through the virtual
+/// SaveState/LoadState a node calls.
+template <typename A>
+Format AgentRow(std::string name, const A& sample, std::string golden,
+                std::vector<size_t> counts = {}) {
+  RoundTrip round_trip = [](const Bytes& bytes) -> Result<Bytes> {
+    A decoded;
+    agent::Agent& agent = decoded;
+    BP_RETURN_IF_ERROR(agent.LoadState(bytes));
+    return agent.SaveState();
+  };
+  return {std::move(name), sample.SaveState(), std::move(round_trip),
           std::move(golden), std::move(counts), {}};
 }
 
@@ -238,6 +255,73 @@ std::vector<Format> Formats() {
                                          ToBytes("state")},
                      "77000000000000000f62657374706565722e736561726368040000"
                      "0006000200057374617465"));
+
+  core::SearchAgent search(0x1122334455667788, "needle",
+                          core::AnswerMode::kIndicate);
+  const size_t plain_state = search.SaveState().size();
+  rows.push_back(AgentRow("SearchAgent", search,
+                          "8877665544332211066e6565646c65020f000000000000"
+                          "0040"));
+  core::SearchAgent probe = search;
+  probe.EnableCacheProbe({{3, 300}, {9, 5}});
+  rows.push_back(AgentRow("SearchAgent (probe)", probe,
+                          "8877665544332211066e6565646c65020f000000000000"
+                          "00400105000000000000000203000000ac020900000005",
+                          {34}));
+  rows.back().ok_prefix = plain_state;
+  core::SearchAgent index = search;
+  index.EnableIndexSearch();
+  rows.push_back(AgentRow("SearchAgent (index)", index,
+                          "8877665544332211066e6565646c65020f000000000000"
+                          "0040020100000000000000"));
+  rows.back().ok_prefix = plain_state;
+  core::SearchAgent probe_index = probe;
+  probe_index.EnableIndexSearch();
+  rows.push_back(AgentRow("SearchAgent (probe+index)", probe_index,
+                          "8877665544332211066e6565646c65020f000000000000"
+                          "00400305000000000000000203000000ac020900000005"
+                          "0100000000000000",
+                          {34}));
+  rows.back().ok_prefix = plain_state;
+  rows.push_back(AgentRow("ComputeAgent",
+                          core::ComputeAgent(7, "keep", ToBytes("params")),
+                          "0700000000000000046b65657006706172616d731e0000"
+                          "0000000000"));
+
+  // ---- BPF1 frame header
+  net::FrameHeader header;
+  header.type = 0x42500001;
+  header.src = 1;
+  header.dst = 2;
+  header.flow = 0x99;
+  header.payload_len = 7;
+  header.extra_wire = 5000;
+  header.flags = net::kFrameFlagSampled;
+  header.sent_at_us = 12345;
+  rows.push_back(Row("FrameHeader", header,
+                     "425046310100010001005042010000000200000099000000000000"
+                     "000700000088130000393000000000000000000000000000000000"
+                     "00000000000000000000"));
+
+  // ---- StorM: content summaries and WAL record bodies
+  storm::KeywordIndex keywords;
+  keywords.Add(1, "alpha beta gamma");
+  keywords.Add(2, "alpha delta");
+  rows.push_back(Row("ContentSummary",
+                     storm::ContentSummary::Build(keywords, 42),
+                     "2a04060103621984f00c28d00405616c706861020462657461010564"
+                     "656c7461010567616d6d6101",
+                     {3, 12}));
+  rows.back().caps = {{3, storm::ContentSummary::kMaxFilterWords},
+                      {12, storm::ContentSummary::kMaxTopKeywords}};
+  using WalRecord = storm::WriteAheadLog::Record;
+  using WalType = storm::WriteAheadLog::RecordType;
+  rows.push_back(Row("WAL Put", WalRecord{WalType::kPut, 5, ToBytes("content")},
+                     "01050000000000000007636f6e74656e74"));
+  rows.push_back(Row("WAL Delete", WalRecord{WalType::kDelete, 5, {}},
+                     "020500000000000000"));
+  rows.push_back(Row("WAL Checkpoint", WalRecord{WalType::kCheckpoint, 0, {}},
+                     "03"));
 
   // ---- Gnutella baseline
   baseline::GnutellaDescriptor descriptor;
@@ -421,6 +505,52 @@ TEST(WireTest, ChecksRejectWhatTheLayoutAllows) {
       1, [](auto& s) { s.args.resize(obs::kTraceFrameMaxArgs + 1); }));
   EXPECT_FALSE(trace_ok(1, [&](auto& s) { s.args = {{longer, 1}}; }));
 
+  // Content summaries: 1..kMaxHashes hashes over a nonempty filter.
+  storm::KeywordIndex keywords;
+  keywords.Add(1, "alpha");
+  const Bytes summary = storm::ContentSummary::Build(keywords, 1).Encode();
+  auto hashes_ok = [&](uint8_t hashes) {
+    Bytes edited = summary;
+    edited[2] = hashes;
+    return storm::ContentSummary::Decode(edited).ok();
+  };
+  EXPECT_TRUE(hashes_ok(1));
+  EXPECT_TRUE(hashes_ok(storm::ContentSummary::kMaxHashes));
+  EXPECT_FALSE(hashes_ok(0));
+  EXPECT_FALSE(hashes_ok(storm::ContentSummary::kMaxHashes + 1));
+  Bytes no_filter(summary.begin(), summary.begin() + 3);
+  no_filter.push_back(0x00);
+  no_filter.insert(no_filter.end(), summary.begin() + 12, summary.end());
+  EXPECT_FALSE(storm::ContentSummary::Decode(no_filter).ok());
+
+  // Search agent state: a present feature byte names one or both known
+  // features, and known epochs name each node once, in ascending order.
+  core::SearchAgent search(7, "needle", core::AnswerMode::kDirect);
+  auto loads = [](const Bytes& state) {
+    core::SearchAgent agent;
+    return agent.LoadState(state).ok();
+  };
+  for (uint8_t features : {0x00, 0x04, 0x81}) {
+    Bytes state = search.SaveState();
+    state.push_back(features);
+    EXPECT_FALSE(loads(state)) << int{features};
+  }
+  auto epochs_ok = [&](std::vector<core::SearchAgent::KnownEpoch> known) {
+    core::SearchAgent probe = search;
+    probe.EnableCacheProbe(std::move(known));
+    return loads(probe.SaveState());
+  };
+  EXPECT_TRUE(epochs_ok({}));
+  EXPECT_TRUE(epochs_ok({{3, 1}, {9, 1}}));
+  EXPECT_FALSE(epochs_ok({{9, 1}, {3, 1}}));
+  EXPECT_FALSE(epochs_ok({{3, 1}, {3, 2}}));
+
+  // WAL record types run 1..3.
+  for (uint8_t type : {0x00, 0x04}) {
+    EXPECT_FALSE(wire::Decode<storm::WriteAheadLog::Record>(Bytes{type}).ok())
+        << int{type};
+  }
+
   // Gnutella function codes: 0x42 sits inside the one-byte range but
   // names no descriptor; 0x82 is past it.
   baseline::GnutellaDescriptor descriptor;
@@ -551,22 +681,9 @@ TEST_F(CsWireTest, MessagesRejectHostileInput) {
   Survives(c(), baseline::kCsDoneType, done);
 }
 
-// ---- hand-written decoders: the same prefix and flip sweeps
+// ---- BPF1 frames as FrameDecoder parses them from a socket buffer
 
-TEST(WireTest, ContentSummarySurvivesSweeps) {
-  storm::KeywordIndex index;
-  index.Add(1, "alpha beta gamma");
-  index.Add(2, "alpha delta");
-  SweepPrefixesAndFlips(
-      storm::ContentSummary::Build(index, 42).Encode(),
-      [](const Bytes& bytes) -> Result<Bytes> {
-        BP_ASSIGN_OR_RETURN(auto summary,
-                            storm::ContentSummary::Decode(bytes));
-        return summary.Encode();
-      });
-}
-
-TEST(WireTest, FrameHeaderAndDecoderSurviveSweeps) {
+TEST(WireTest, FrameDecoderSurvivesSweeps) {
   net::FrameHeader header;
   header.type = 0x42500001;
   header.src = 1;
@@ -583,9 +700,6 @@ TEST(WireTest, FrameHeaderAndDecoderSurviveSweeps) {
     return decoder.Next(&h, &payload);
   };
   for (size_t n = 0; n < frame.size(); ++n) {
-    if (n < net::kFrameOverheadBytes) {
-      EXPECT_FALSE(net::DecodeFrameHeader(frame.data(), n).ok()) << n;
-    }
     Bytes prefix(frame.begin(), frame.begin() + static_cast<long>(n));
     auto r = next(prefix);
     ASSERT_TRUE(r.ok()) << "prefix " << n;
@@ -595,7 +709,6 @@ TEST(WireTest, FrameHeaderAndDecoderSurviveSweeps) {
   for (size_t i = 0; i < frame.size(); ++i) {
     Bytes flipped = frame;
     flipped[i] ^= 0xFF;
-    EXPECT_NO_THROW(net::DecodeFrameHeader(flipped.data(), flipped.size()));
     EXPECT_NO_THROW(next(flipped));
   }
 }

@@ -605,10 +605,8 @@ int main(int argc, char** argv) {
   // --- telemetry plane (opt-in) --------------------------------------------
   std::unique_ptr<obs::TelemetryServer> telemetry;
   if (telemetry_addr != nullptr) {
-    obs::TelemetryServerOptions opts;
-    opts.address = telemetry_addr;
-    telemetry =
-        std::make_unique<obs::TelemetryServer>(&tcpnet.reactor(), opts);
+    telemetry = std::make_unique<obs::TelemetryServer>(&tcpnet.reactor(),
+                                                       telemetry_addr);
     telemetry->AddHandler("/healthz", [&](const obs::HttpRequest&) {
       obs::HttpResponse r;
       r.body = "ok\n";
@@ -840,6 +838,9 @@ int main(int argc, char** argv) {
           return s != nullptr && s->total_answers() >= expected;
         },
         flags.timeout_ms);
+    // A query the drain signal cut short stays uncounted: its partial
+    // answers would read as lost recall.
+    if (!complete && g_signal != 0) break;
     size_t answers = 0;
     double latency_ms = 0;
     tcpnet.Run([&]() {
