@@ -115,10 +115,10 @@ class Agent {
   /// Serializes mutable state for shipment.
   virtual Bytes SaveState() const = 0;
 
-  /// Restores state at the destination engine from exactly `state`. The
-  /// state arrives from another node, so it is hostile input: a class
-  /// lists its fields in a util/wire.h Wire() and forwards both calls
-  /// to it.
+  /// Restores state at the destination engine from exactly `state`, on a
+  /// fresh agent from AgentRegistry::Create. The state arrives from
+  /// another node, so it is hostile input: a class lists its fields in a
+  /// util/wire.h Wire() and forwards both calls to it.
   virtual Status LoadState(const Bytes& state) = 0;
 
   /// Runs at the current node. Report CPU via ctx.ChargeCpu and outputs

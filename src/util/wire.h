@@ -298,7 +298,8 @@ Bytes Encode(const M& m) {
   return w.Take();
 }
 
-/// Reads `m`'s fields in place from exactly the `len` bytes at `data`.
+/// Reads `m`'s fields in place from exactly the `len` bytes at `data`;
+/// fields of an optional section the data lacks keep their values.
 template <typename M>
 Status DecodeInto(const uint8_t* data, size_t len, M& m) {
   Reader r(data, len);
