@@ -100,8 +100,9 @@ class SearchAgent : public agent::Agent {
         object_cost, wire::Varint(descriptor_bytes)));
     if (!io.Optional(m.features_ != 0)) return Status::OK();
     // Two feature bits: a present bitmask lies in [1, 3].
-    BP_RETURN_IF_ERROR(io(wire::Enum(m.features_, kFeatureCacheProbe,
-                                     kFeatureCacheProbe | kFeatureIndexSearch)));
+    BP_RETURN_IF_ERROR(
+        io(wire::Enum(m.features_, kFeatureCacheProbe,
+                      kFeatureCacheProbe | kFeatureIndexSearch)));
     if ((m.features_ & kFeatureCacheProbe) != 0) {
       int64_t probe_cost = net::kCacheProbeCost;
       BP_RETURN_IF_ERROR(io(probe_cost, m.known_epochs_));

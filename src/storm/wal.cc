@@ -66,9 +66,10 @@ Result<size_t> WriteAheadLog::Replay(const ReplayVisitor& visitor) {
     if (std::fread(&stored, sizeof(stored), 1, file_) != 1) break;
     if (stored != Fnv1a64(body.data(), body.size())) break;  // Torn tail.
 
-    auto record = wire::Decode<Record>(body);
-    if (!record.ok()) break;  // Corrupt body behind a valid checksum.
-    BP_RETURN_IF_ERROR(visitor(record.value()));
+    // A body that passed its checksum but does not decode was written
+    // wrong, not torn: fail the replay rather than drop acknowledged writes.
+    BP_ASSIGN_OR_RETURN(Record record, wire::Decode<Record>(body));
+    BP_RETURN_IF_ERROR(visitor(record));
     ++visited;
   }
   // Leave the write position at the end for subsequent appends.

@@ -22,8 +22,9 @@ namespace bestpeer::storm {
 ///
 /// Record format: [u32 body length][body][u64 FNV-1a checksum of body],
 /// where the body is a Record coded by util/wire.h. Replay stops cleanly
-/// at the first torn or corrupt record (the standard crash-tail rule): a
-/// log file is hostile input like any message.
+/// at the first torn record, one whose length, body or checksum is cut
+/// short or wrong (the standard crash-tail rule). A body that passes its
+/// checksum but does not decode fails the replay with the decode error.
 class WriteAheadLog {
  public:
   enum class RecordType : uint8_t {

@@ -274,7 +274,9 @@ class Reader {
   Status Get(Const<T>& c) {
     T v{};
     BP_RETURN_IF_ERROR(Get(v));
-    if (v != c.value) return Status::Corruption("bad magic, version or reserved bytes");
+    if (v != c.value) {
+      return Status::Corruption("bad magic, version or reserved bytes");
+    }
     return Status::OK();
   }
 

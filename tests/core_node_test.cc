@@ -596,6 +596,24 @@ TEST_F(CoreNodeFixture, QueryCacheSpeedsRepeatedSearches) {
   EXPECT_EQ(nodes_[1]->storage()->query_cache_hits(), 1u);
 }
 
+TEST_F(CoreNodeFixture, QueryCacheHitReplyCarriesStoreSize) {
+  Build(3, {{0, 1}, {1, 2}});
+  storm::StormOptions store;
+  store.enable_query_cache = true;
+  ASSERT_TRUE(nodes_[1]->InitStorage(store).ok());
+  Fill(1, 100, 5);
+
+  nodes_[0]->IssueSearch("needle").value();
+  sim_.RunUntilIdle();
+  // Node 2 has never heard from node 1; its query is answered from node
+  // 1's query cache, and the reply still names node 1's store size.
+  uint64_t q = nodes_[2]->IssueSearch("needle").value();
+  sim_.RunUntilIdle();
+  EXPECT_EQ(nodes_[2]->FindSession(q)->total_answers(), 5u);
+  EXPECT_EQ(nodes_[1]->storage()->query_cache_hits(), 1u);
+  EXPECT_EQ(nodes_[2]->shipping().StoreSizeHint(ids_[1]), 100u);
+}
+
 TEST_F(CoreNodeFixture, CompressionShrinksWireBytes) {
   BestPeerConfig lzss;
   lzss.codec = "lzss";

@@ -7,6 +7,7 @@
 
 #include "storm/storm.h"
 #include "storm/wal.h"
+#include "util/hash.h"
 
 namespace bestpeer::storm {
 namespace {
@@ -114,6 +115,41 @@ TEST(WalTest, CorruptMiddleStopsReplay) {
                  })
                   .ok());
   EXPECT_EQ(count, 0u) << "checksum mismatch stops replay";
+}
+
+TEST(WalTest, UndecodableBodyBehindValidChecksumFailsReplay) {
+  TempPath wal_path("undecodable");
+  {
+    auto wal = WriteAheadLog::Open(wal_path.str()).value();
+    ASSERT_TRUE(wal->AppendPut(1, Content("intact")).ok());
+  }
+  {
+    // A Put body whose content length (10) overruns the 3 bytes that
+    // follow, framed with its true length and checksum: not torn, so
+    // replay must not skip it (or the records behind it) silently.
+    const Bytes body = {1, 2, 0, 0, 0, 0, 0, 0, 0, 10, 'a', 'b', 'c'};
+    const uint32_t len = static_cast<uint32_t>(body.size());
+    const uint64_t checksum = Fnv1a64(body.data(), body.size());
+    std::FILE* f = std::fopen(wal_path.str().c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(&len, sizeof(len), 1, f);
+    std::fwrite(body.data(), 1, body.size(), f);
+    std::fwrite(&checksum, sizeof(checksum), 1, f);
+    std::fclose(f);
+  }
+  auto wal = WriteAheadLog::Open(wal_path.str()).value();
+  std::vector<ObjectId> ids;
+  auto visited = wal->Replay([&](const WriteAheadLog::Record& r) {
+    ids.push_back(r.object_id);
+    return Status::OK();
+  });
+  EXPECT_FALSE(visited.ok());
+  EXPECT_EQ(ids, (std::vector<ObjectId>{1}));
+  wal.reset();
+
+  StormOptions options;
+  options.wal_path = wal_path.str();
+  EXPECT_FALSE(Storm::Open(options).ok());
 }
 
 TEST(WalTest, CheckpointTruncates) {
